@@ -87,18 +87,21 @@ def test_statistical_pass_recovers_chrome(sf_dir):
     assert (cat.n >= 2).all()
 
 
-def test_join_path_matches_broadcast_path(sf_dir):
+def test_join_path_matches_broadcast_path(sf_dir, monkeypatch):
     """The size-gated broadcast and the partitioned-join fallbacks are
     output-identical (the 100 TB path gets the same bits as the fast
     path)."""
+    from zerox_ray.pipelines import agg
+
     a = (
-        paragraph_dedup(pages_dir_for(sf_dir), broadcast=True)
+        paragraph_dedup(pages_dir_for(sf_dir))
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
     b = (
-        paragraph_dedup(pages_dir_for(sf_dir), broadcast=False)
+        paragraph_dedup(pages_dir_for(sf_dir))
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)

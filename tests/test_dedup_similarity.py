@@ -146,15 +146,18 @@ class TestEmbeddingOps:
         got = embedding_near_dup(d, threshold_ppm=990_000).to_pandas()
         assert (0, 50) in set(zip(got.vec_a, got.vec_b))
 
-    def test_embedding_join_verify_equals_broadcast(self):
+    def test_embedding_join_verify_equals_broadcast(self, monkeypatch):
+        from zerox_ray.pipelines import agg
+
         d = self._planted_embeddings_dir()
         cols = ["vec_a", "vec_b", "cosine_ppm"]
         bc = (
-            embedding_near_dup(d, threshold_ppm=990_000, verify="broadcast")
+            embedding_near_dup(d, threshold_ppm=990_000)
             .to_pandas().sort_values(cols[:2]).reset_index(drop=True)
         )
+        monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
         jn = (
-            embedding_near_dup(d, threshold_ppm=990_000, verify="join")
+            embedding_near_dup(d, threshold_ppm=990_000)
             .to_pandas().sort_values(cols[:2]).reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(jn[cols], bc[cols])
@@ -283,10 +286,13 @@ class TestKeeperSelection:
         assert in_run == 0
 
 
-def test_minhash_join_verify_equals_broadcast(sf_dir):
+def test_minhash_join_verify_equals_broadcast(sf_dir, monkeypatch):
+    from zerox_ray.pipelines import agg
+
     bc = minhash_lsh_pairs(sf_dir).to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
     jn = (
-        minhash_lsh_pairs(sf_dir, verify="join")
+        minhash_lsh_pairs(sf_dir)
         .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(jn[bc.columns.tolist()], bc)
@@ -771,19 +777,21 @@ def test_embedding_moments_match_numpy(sf_dir):
 
 
 class TestContainmentPairs:
-    def test_broadcast_equals_join_path(self, sf_dir):
+    def test_broadcast_equals_join_path(self, sf_dir, monkeypatch):
         import pandas as pd
 
+        from zerox_ray.pipelines import agg
         from zerox_ray.pipelines.dedup import containment_pairs
 
         a = (
-            containment_pairs(sf_dir, verify="broadcast")
+            containment_pairs(sf_dir)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
         )
+        monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
         b = (
-            containment_pairs(sf_dir, verify="join")
+            containment_pairs(sf_dir)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
@@ -1023,16 +1031,18 @@ class TestWinnowing:
             assert r.n_shared >= 2 and r.doc_a < r.doc_b
 
 
-def test_substring_scrub_join_equals_broadcast(sf_dir):
+def test_substring_scrub_join_equals_broadcast(sf_dir, monkeypatch):
+    from zerox_ray.pipelines import agg
     from zerox_ray.pipelines.dedup import substring_scrub
 
     cols = ["doc_id", "n_tokens", "n_removed", "text_clean"]
     bc = (
-        substring_scrub(sf_dir, broadcast=True)
+        substring_scrub(sf_dir)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
     jn = (
-        substring_scrub(sf_dir, broadcast=False)
+        substring_scrub(sf_dir)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(jn[cols], bc[cols])

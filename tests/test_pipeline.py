@@ -138,6 +138,21 @@ class TestMaintainFormat:
         assert list(pages.page_index) == [1, 2]
         assert list(pages.status) == ["SUCCESS", "ERROR"]
 
+    def test_retry_recovers_transient_failure(self):
+        # the fold path retries a page exactly like the Scorer: one retry
+        # absorbs flaky_once's single failure; with none, the error
+        # breaks the chain (a fresh fragment per run, since flaky_once
+        # remembers the fragments it has failed)
+        for max_retries, status in ((1, ["SUCCESS"] * 3), (0, ["SUCCESS", "ERROR"])):
+            payload = build_html(
+                0, ["one ok", f"BOOMPAGE retries={max_retries}", "three"], False
+            )
+            cfg = ZeroxConfig(
+                maintain_format=True, model_provider="flaky_once", max_retries=max_retries
+            )
+            pages = extracted_pages(_pages_table([("u1", payload)]), cfg).to_pandas()
+            assert list(_sorted(pages, "page_index").status) == status, max_retries
+
     def test_single_page_docs_unchanged(self):
         payload = build_html(0, ["only page"], False)
         ds = _pages_table([("u1", payload)])
@@ -612,21 +627,23 @@ class TestIncrementalOcr:
             w = want[url]
             assert (w["markdown"], w["total_pages"]) == (md, tp), url
 
-    def test_join_path_matches_broadcast_path(self):
+    def test_join_path_matches_broadcast_path(self, monkeypatch):
         import pandas as pd
 
+        from zerox_ray.pipelines import agg
         from zerox_ray.pipelines.ocr import run_ocr_incremental
         from zerox_ray.testgen import snapshot_pages_dir_for
 
         path = snapshot_pages_dir_for("/root/testdata/sf0.001")
         a = (
-            run_ocr_incremental(path, broadcast=True)
+            run_ocr_incremental(path)
             .to_pandas()
             .sort_values("url")
             .reset_index(drop=True)
         )
+        monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)  # force the join path
         b = (
-            run_ocr_incremental(path, broadcast=False)
+            run_ocr_incremental(path)
             .to_pandas()
             .sort_values("url")
             .reset_index(drop=True)

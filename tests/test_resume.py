@@ -111,3 +111,17 @@ def test_shifted_shard_lineage_reprocessed(sharded_input, tmp_path):
     # every manifest's lineage now mismatches its shifted position except
     # none — all 5 shards are pending again
     assert runner.pending_shards() == [0, 1, 2, 3, 4]
+
+
+def test_manifest_carries_operator_stats(sharded_input, tmp_path):
+    """Each shard manifest records Ray's per-operator metrics: every
+    operator that ran has its summed task wall time and output rows."""
+    out = str(tmp_path / "out")
+    CheckpointedOcrRunner(sharded_input, out, files_per_shard=4).run()
+    (path,) = glob.glob(os.path.join(out, "_manifests", "*.json"))
+    stats = json.load(open(path))["stage_stats"]
+    assert stats, "no operator stats recorded"
+    for name, entry in stats.items():
+        assert entry["wall_s"] >= 0 and entry["rows_out"] >= 0, name
+    # the last operator writes the shard output
+    assert list(stats)[-1].endswith("Write")

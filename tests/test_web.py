@@ -6,6 +6,7 @@ import pytest
 
 from zerox_ray.functions.hashing import md5_64
 from zerox_ray.functions.text import TOKEN_RE
+from zerox_ray.pipelines import agg
 from zerox_ray.pipelines.web import (
     WEB_MIN_TOKENS,
     WEB_TOKENS_PER_SHARD,
@@ -705,7 +706,7 @@ class TestGraphCensus:
             .sort_values("url")
             .reset_index(drop=True)
         )
-        monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", -1)
+        monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
         joined = (
             G.local_clustering(pages_dir_for(sf_dir))
             .to_pandas()
@@ -798,7 +799,7 @@ class TestGraphCensus:
         import zerox_ray.pipelines.graph as G
 
         bcast = G.triangle_stats(pages_dir_for(sf_dir)).to_pandas()
-        monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", 0)
+        monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
         joined = G.triangle_stats(pages_dir_for(sf_dir)).to_pandas()
         assert bcast.equals(joined)
 
@@ -814,7 +815,7 @@ def test_kcore_join_path_matches_broadcast(sf_dir, monkeypatch):
         .sort_values("url")
         .reset_index(drop=True)
     )
-    monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", -1)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     joined = (
         G.kcore(pages_dir_for(sf_dir))
         .to_pandas()
@@ -830,7 +831,7 @@ def test_degree_assortativity_join_path_matches_broadcast(sf_dir, monkeypatch):
     import zerox_ray.pipelines.graph as G
 
     bcast = G.degree_assortativity(pages_dir_for(sf_dir)).to_pandas()
-    monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", 0)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     joined = G.degree_assortativity(pages_dir_for(sf_dir)).to_pandas()
     assert bcast.equals(joined)
 
@@ -895,7 +896,7 @@ def test_lpa_join_path_matches_broadcast(sf_dir, monkeypatch):
         .sort_values(key)
         .reset_index(drop=True)
     )
-    monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", 0)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     joined = (
         G.lpa_communities(pages_dir_for(sf_dir))
         .to_pandas()
@@ -981,7 +982,7 @@ def test_bowtie_join_path_matches_broadcast(sf_dir, monkeypatch):
     import zerox_ray.pipelines.graph as G
 
     bcast = G.bowtie_census(pages_dir_for(sf_dir)).to_pandas()
-    monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", 0)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     joined = G.bowtie_census(pages_dir_for(sf_dir)).to_pandas()
     assert bcast.equals(joined)
 
@@ -1019,7 +1020,7 @@ def test_mirror_hosts_join_path_matches_broadcast(sf_dir, monkeypatch):
         .sort_values(key)
         .reset_index(drop=True)
     )
-    monkeypatch.setattr(G, "TRI_BCAST_CAP_NODES", 0)
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     joined = (
         G.mirror_hosts(multihost_pages_dir_for(sf_dir))
         .to_pandas()

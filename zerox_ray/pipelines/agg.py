@@ -1,40 +1,132 @@
-"""Coarse-bucketed grouped aggregation — the engine's ONE canonical
-shuffle-aggregate shape.
+"""The engine's exchange layer: the bucket tag, shuffle width,
+broadcast gate, per-worker broadcast cache and grouped exchanges the
+pipelines share.
+
+Parts:
+
+- ``_bucket_ids`` — the one bucket tag (``key % W`` for integer keys,
+  ``crc32(text) % W`` otherwise), shared by the group exchanges here
+  and by ``relational.hash_join``;
+- ``shuffle_width`` — the one exchange-width rule: the cluster width
+  (~2 reduce waves per CPU), narrowed for small inputs so a tiny
+  per-round table is not fanned into cluster-width buckets of a few
+  rows each;
+- ``BROADCAST_MAX_BYTES`` / ``fits_broadcast`` — the one
+  broadcast-or-join gate: state up to 1 GiB ships once via ``ray.put``,
+  larger state goes through a partitioned hash join. The size alone
+  picks the path; a test forces the join path by monkeypatching the
+  constant to -1;
+- ``worker_cached`` — the one per-worker cache of deserialized
+  broadcast state, FIFO-capped so a long-lived worker serving many
+  queries evicts instead of growing without bound;
+- ``bucketed_group_agg`` / ``bucketed_group_map`` — the grouped
+  exchanges.
 
 ``Dataset.groupby(keys).aggregate(...)`` (Ray's Aggregate operator) was
 measured at ~2.5-3 s of fixed overhead per query on the sandbox corpus,
 independent of data size; the identical reduction expressed as ONE
 explicit exchange on a coarse hash bucket + a vectorized pandas
-aggregation per bucket runs in ~0.6 s (see BENCH notes). The bucketed
-form is also the shape the rest of the engine already uses (dedup
-candidate generation, hash_join), making the shuffle width explicit:
+aggregation per bucket runs in ~0.6 s (see BENCH notes):
 
     partials → +bucket(hash(key) % W) → groupby(bucket)
              → map_groups(vectorized pandas groupby-agg)
 
-W defaults to the cluster-derived shuffle width (2 reduce waves per CPU),
-so each reduce task handles |keys|/W groups — bounded per-task memory at
+Each reduce task handles |keys|/W groups — bounded per-task memory at
 scale, amortized per-group Python cost (one pandas call per BUCKET, not
 per key).
+
+The module keeps its ``zerox_ray.pipelines.agg`` path, and ``hash_join``
+stays in ``relational.py``: the benchmark attributes worker time to
+layers by these qualified-name prefixes (``perfbench/layers.py``).
 """
 
 from __future__ import annotations
 
-import zlib
-
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from zerox_ray.functions.hashing import crc32_array
 
-def _bucket_of(s: pd.Series, num_buckets: int) -> pd.Series:
-    """Deterministic bucket id for an int or string key column."""
-    if s.dtype.kind in "iu":
-        return (s.astype("int64") % num_buckets).astype("int64")
-    return pd.Series(
-        [zlib.crc32(str(v).encode()) % num_buckets for v in s],
-        index=s.index,
-        dtype="int64",
-    )
+#: broadcast-or-join gate: state up to this many bytes ships once via
+#: ``ray.put``; above it the partitioned hash join is the path
+BROADCAST_MAX_BYTES = 1 << 30
+
+#: per-worker cache cap: each entry may hold a materialized broadcast
+#: (a corpus copy, a model), so a worker keeps at most this many
+WORKER_CACHE_MAX = 4
+_WORKER_CACHE: dict = {}
+
+
+def shuffle_width(rows: int | None = None) -> int:
+    """Exchange width: the cluster width, or for an input of ``rows``
+    rows one bucket per 10k rows on top of 8, capped at the cluster
+    width."""
+    from zerox_ray.stages.classify import default_num_partitions
+
+    width = default_num_partitions()
+    if rows is None:
+        return width
+    return max(8, min(width, rows // 10_000 + 8))
+
+
+def fits_broadcast(nbytes: int) -> bool:
+    """True when ``nbytes`` of state may ship by broadcast. Reads the
+    module constant at call time, so a monkeypatch reaches every site."""
+    return nbytes <= BROADCAST_MAX_BYTES
+
+
+def worker_cached(key, build):
+    """``build()`` once per worker process and ``key``; the oldest entry
+    is evicted past ``WORKER_CACHE_MAX`` (eviction costs one rebuild)."""
+    if key not in _WORKER_CACHE:
+        while len(_WORKER_CACHE) >= WORKER_CACHE_MAX:
+            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
+        _WORKER_CACHE[key] = build()
+    return _WORKER_CACHE[key]
+
+
+def cached_get(kind: str, ref):
+    """The broadcast object behind ``ref``, deserialized once per worker
+    (``ray.get`` re-deserializes plain Python objects on every call)."""
+    return worker_cached((kind, ref.hex()), lambda: ray.get(ref))
+
+
+def _bucket_ids(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
+    """Deterministic int64 bucket id per row of an Arrow key column:
+    ``key % n`` for integer keys (nulls land in bucket 0), else
+    ``crc32(text) % n`` of the key's UTF-8 text, with a null read as
+    ``"None"`` (``str()`` of a null in a pandas object column)."""
+    if pa.types.is_integer(col.type):
+        return pc.fill_null(col, 0).to_numpy(zero_copy_only=False).astype(np.int64) % n
+    text = pc.fill_null(col.cast(pa.large_string()), "None")
+    return (crc32_array(text) % np.uint32(n)).astype(np.int64)
+
+
+def _bucketed(ds: ray.data.Dataset, key: str, body, num_buckets: int | None):
+    """Tag every row with ``_bucket_ids`` of ``key`` (one appended Arrow
+    column), exchange on the tag, and run ``body`` on each bucket's rows
+    (pandas, tag dropped)."""
+    n = num_buckets or shuffle_width()
+
+    # both stages emit CLEAN Arrow (no pandas schema-metadata blob, which
+    # a batch from a pandas stage carries): the reduce's block concat
+    # then dedups schemas by hash instead of logging per-task warnings
+    # (see sources/tables.py)
+    def tag(t: pa.Table) -> pa.Table:
+        b = pa.array(_bucket_ids(t[key], n), pa.int64())
+        return t.append_column("__b", b).replace_schema_metadata(None)
+
+    def run(g: pd.DataFrame) -> pa.Table:
+        out = body(g.drop(columns="__b"))
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
+            None
+        )
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    return tagged.groupby("__b").map_groups(run, batch_format="pandas")
 
 
 def bucketed_group_agg(
@@ -44,7 +136,8 @@ def bucketed_group_agg(
     num_buckets: int | None = None,
     dtypes: dict[str, str] | None = None,
 ) -> ray.data.Dataset:
-    """groupby(keys) + named aggregations via one coarse-bucket exchange.
+    """groupby(keys) + named aggregations via one coarse-bucket exchange
+    (bucketed on ``keys[0]``).
 
     ``named_aggs``: output_col → (src_col, op) exactly as pandas
     ``DataFrame.groupby().agg(**named_aggs)`` takes them. Ops must be
@@ -52,33 +145,13 @@ def bucketed_group_agg(
     already-partial rows) — the caller is responsible for emitting
     per-batch partials first when the op needs it (e.g. ``size`` → emit
     a count column and sum it here)."""
-    if num_buckets is None:
-        from zerox_ray.stages.classify import default_num_partitions
+    aggs = {k: pd.NamedAgg(column=c, aggfunc=op) for k, (c, op) in named_aggs.items()}
 
-        num_buckets = default_num_partitions()
+    def final(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby(list(keys), as_index=False).agg(**aggs)
+        return out.astype(dtypes) if dtypes else out
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = _bucket_of(df[keys[0]], num_buckets)
-        return df
-
-    def final(g: pd.DataFrame):
-        import pyarrow as pa
-
-        out = g.groupby(list(keys), as_index=False).agg(
-            **{k: pd.NamedAgg(column=c, aggfunc=op) for k, (c, op) in named_aggs.items()}
-        )
-        if dtypes:
-            out = out.astype(dtypes)
-        # emit CLEAN Arrow (no pandas schema-metadata blob): downstream
-        # block concat/unify then dedups schemas by hash instead of
-        # logging per-task warnings (see sources/tables.py)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
-
-    tagged = ds.map_batches(tag, batch_format="pandas")
-    return tagged.groupby("__b").map_groups(final, batch_format="pandas")
+    return _bucketed(ds, keys[0], final, num_buckets)
 
 
 def bucketed_group_map(
@@ -96,23 +169,4 @@ def bucketed_group_map(
     cost is amortized; ``fn`` must do its own per-key grouping/sorting
     and must NOT depend on bucket composition. The ``__b`` tag column is
     dropped before ``fn`` sees the rows."""
-    if num_buckets is None:
-        from zerox_ray.stages.classify import default_num_partitions
-
-        num_buckets = default_num_partitions()
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = _bucket_of(df[key], num_buckets)
-        return df
-
-    def run(g: pd.DataFrame):
-        import pyarrow as pa
-
-        out = fn(g.drop(columns="__b"))
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
-
-    tagged = ds.map_batches(tag, batch_format="pandas")
-    return tagged.groupby("__b").map_groups(run, batch_format="pandas")
+    return _bucketed(ds, key, fn, num_buckets)

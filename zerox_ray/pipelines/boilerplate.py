@@ -48,15 +48,11 @@ import ray.data
 
 from zerox_ray.functions.htmlx import parse_blocks, split_html_pages
 from zerox_ray.functions.pdfx import extract_pdf_text, is_pdf_payload, split_pdf_pages
-from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map
+from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map, fits_broadcast
 from zerox_ray.sources.pages import read_pages
 
 #: remove a block seen this many times corpus-wide (CCNet: any repeat)
 PARA_MIN_COUNT = 2
-
-#: duplicated-hash sets up to this many BYTES (8 per hash → 134M blocks)
-#: broadcast via ray.put; larger sets fall back to the partitioned join
-PARA_BROADCAST_MAX_BYTES = 1 << 30
 
 
 def raw_text_blocks(pages: ray.data.Dataset | str) -> ray.data.Dataset:
@@ -128,7 +124,6 @@ def _h63_text(texts: list[str]) -> np.ndarray:
 def paragraph_dedup(
     pages: ray.data.Dataset | str,
     min_count: int = PARA_MIN_COUNT,
-    broadcast: bool | None = None,
 ) -> ray.data.Dataset:
     """CCNet-style corpus-frequency boilerplate removal.
 
@@ -145,10 +140,9 @@ def paragraph_dedup(
     reassembly; the duplicated-hash set reaches the blocks either as a
     broadcast (``ray.put`` once, vectorized ``np.isin`` per batch — the
     block TEXT then moves exactly once) or, above the size gate, via a
-    partitioned hash join (one extra text exchange). The auto switch is
-    the dedup.py verify='auto' idiom: 8 bytes per duplicated hash
-    against a 1 GiB cap. ``broadcast``: None = auto; True/False pin a
-    path (both are output-identical and both are tested).
+    partitioned hash join (one extra text exchange). The switch is
+    ``agg.fits_broadcast`` of 8 bytes per duplicated hash (both paths
+    are output-identical and both are tested).
 
     Deliberate trade: the payload parse runs TWICE (once feeding the
     hash-count branch, once feeding the mark/reassemble branch) rather
@@ -190,9 +184,7 @@ def paragraph_dedup(
     common = counts.map_batches(to_common, batch_format="pyarrow").materialize()
 
     n_common = common.count()
-    if broadcast is None:
-        broadcast = n_common * 8 <= PARA_BROADCAST_MAX_BYTES
-    if broadcast:
+    if fits_broadcast(n_common * 8):
         # broadcast path: the duplicated-hash array ships once per node;
         # each batch marks dups with one sorted np.isin — no text moves
         # until the reassembly exchange

@@ -28,7 +28,7 @@ import ray.data
 
 from zerox_ray.sources.tables import read_table
 from zerox_ray.functions.text import STOPWORD_RE, TOKEN_RE
-from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map
+from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map, cached_get
 
 PPM = 1_000_000
 
@@ -535,7 +535,7 @@ def decontaminate(
     def score(df: pd.DataFrame) -> pd.DataFrame:
         # ray.get of a pickled frozenset DESERIALIZES per call — cache
         # the materialized set once per worker process, keyed on the ref
-        bench = _cached_broadcast("decon", bench_ref)
+        bench = cached_get("decon", bench_ref)
         ids, ppms = [], []
         for doc_id, text in zip(df["doc_id"], df["text"]):
             sh = set(token_shingles(TOKEN_RE.findall(text), shingle_n))
@@ -552,22 +552,6 @@ def decontaminate(
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(score, batch_format="pandas")
-
-
-#: per-worker cache of deserialized broadcast objects (decontaminate /
-#: token_shards / global_rank) — ray.get re-deserializes plain Python
-#: objects per call; FIFO-capped so long-lived workers don't accumulate
-_SCORE_STATE: dict = {}
-_MAX_SCORE_STATES = 8
-
-
-def _cached_broadcast(kind: str, ref):
-    key = (kind, ref.hex())
-    if key not in _SCORE_STATE:
-        while len(_SCORE_STATE) >= _MAX_SCORE_STATES:
-            _SCORE_STATE.pop(next(iter(_SCORE_STATE)))
-        _SCORE_STATE[key] = ray.get(ref)
-    return _SCORE_STATE[key]
 
 
 # --- token-budget shard packing -----------------------------------------------
@@ -693,7 +677,7 @@ def token_shards(sf_dir: str, tokens_per_shard: int = 50_000) -> ray.data.Datase
     off_ref = ray.put(offsets)
 
     def assign(g: pd.DataFrame) -> pd.DataFrame:
-        off = _cached_broadcast("shard_off", off_ref)
+        off = cached_get("shard_off", off_ref)
         g = g.sort_values("doc_id", kind="mergesort")
         tok = g["n_tokens"].to_numpy(dtype=np.int64)
         excl = np.concatenate([[0], np.cumsum(tok)[:-1]])
@@ -1140,7 +1124,7 @@ def above_median_docs(sf_dir: str) -> ray.data.Dataset:
     )
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = _cached_broadcast("lang_med", lookup_ref)
+        lookup = cached_get("lang_med", lookup_ref)
         thr = df["lang"].map(lookup)
         return df[df["n_chars"] > thr]
 
@@ -1318,7 +1302,7 @@ def quality_percentiles(sf_dir: str) -> ray.data.Dataset:
     below_ref = ray.put(below)
 
     def assign(t: pa.Table) -> pa.Table:
-        b = _cached_broadcast("qp_below", below_ref)  # deserialized once per worker
+        b = cached_get("qp_below", below_ref)  # deserialized once per worker
         q = _quality_batch(t)
         score = q["stop_ratio_ppm"].to_numpy(zero_copy_only=False)
         bins = np.minimum(score // width, _QP_BINS - 1)
@@ -1466,7 +1450,7 @@ def global_rank_docs(sf_dir: str) -> ray.data.Dataset:
     )
 
     def rank_group(g: pd.DataFrame) -> pd.DataFrame:
-        offsets = _cached_broadcast("rank_off", off_ref)
+        offsets = cached_get("rank_off", off_ref)
         g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
         base = g["n_chars"].map(offsets).to_numpy(dtype=np.int64)
         pos = g.groupby("n_chars", sort=False).cumcount().to_numpy(dtype=np.int64)
@@ -1522,7 +1506,7 @@ def curate_corpus(
         stop_ppm = np.where(nt > 0, (PPM * ns) // np.maximum(nt, 1), 0)
         df = df[(nt >= min_tokens) & (stop_ppm <= max_stop_ppm)]
         # decontamination: same per-doc overlap rule as `decontaminate`
-        bench = _cached_broadcast("decon", bench_ref)
+        bench = cached_get("decon", bench_ref)
         keep_ids, keep_langs, keep_texts = [], [], []
         for doc_id, lang, text in zip(df["doc_id"], df["lang"], df["text"]):
             sh = set(token_shingles(TOKEN_RE.findall(text), shingle_n))
@@ -2157,7 +2141,7 @@ def packed_sequences(sf_dir: str, seq_len: int = PACK_SEQ_LEN) -> ray.data.Datas
     off_ref = ray.put(offsets)
 
     def explode(g: pd.DataFrame) -> pd.DataFrame:
-        off_map = _cached_broadcast("pack_off", off_ref)
+        off_map = cached_get("pack_off", off_ref)
         g = g.sort_values("doc_id", kind="mergesort")
         n = g["n_tokens"].to_numpy(dtype=np.int64)
         off = np.concatenate([[0], np.cumsum(n)[:-1]])

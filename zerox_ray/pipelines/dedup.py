@@ -28,7 +28,13 @@ import ray
 import ray.data
 
 from zerox_ray.sources.tables import read_table
-from zerox_ray.pipelines.agg import bucketed_group_agg
+from zerox_ray.pipelines.agg import (
+    bucketed_group_agg,
+    bucketed_group_map,
+    fits_broadcast,
+    shuffle_width,
+    worker_cached,
+)
 
 from zerox_ray.functions.hashing import (
     band_keys,
@@ -57,30 +63,9 @@ PPM = 1_000_000
 N_COARSE = 256
 MAX_BUCKET_DOCS = 512
 
-#: auto verify-mode switch: broadcast the corpus table only while it
-#: comfortably fits every node's object store; past this, re-join the
-#: candidate pairs to the corpus instead (shuffles O(pairs), never
-#: broadcasts the big side)
-BROADCAST_VERIFY_MAX_BYTES = 1 << 30
 # minlabel_components: above this many label rows the per-round convergence
 # sum runs as a distributed aggregate instead of a driver-side block stream.
 DRIVER_SUM_MAX_NODES = 1_000_000
-
-
-def _resolve_verify(verify: str, path: str) -> str:
-    """'auto' → 'broadcast' for small corpora, 'join' at scale (the
-    corpus parquet footprint is the cheap, driver-side size signal)."""
-    if verify not in ("auto", "broadcast", "join"):
-        raise ValueError(
-            f"verify must be 'auto', 'broadcast' or 'join', got {verify!r}"
-        )
-    if verify != "auto":
-        return verify
-    return (
-        "broadcast"
-        if os.path.getsize(path) <= BROADCAST_VERIFY_MAX_BYTES
-        else "join"
-    )
 
 
 class MinHashBander:
@@ -165,8 +150,8 @@ class JaccardVerifier:
     Broadcast lookup: the docs table ref is ``ray.put`` once on the
     driver; each worker ``ray.get``s the Arrow table once, then builds a
     Python-side id→text dict from it (a materialized copy — the reason
-    this state is FIFO-capped in ``_WORKER_STATE`` and why the
-    partitioned re-join is the scale path, see verify="join")."""
+    this state is FIFO-capped in ``agg.worker_cached`` and why the
+    partitioned re-join is the scale path, see _verify_pairs_by_join)."""
 
     def __init__(self, docs_ref, shingle_n: int, threshold_ppm: int):
         table = ray.get(docs_ref)
@@ -196,33 +181,18 @@ class JaccardVerifier:
         )
 
 
-_WORKER_STATE: dict = {}
-#: verifier states hold a materialized corpus copy each — cap the cache
-#: so a long-lived worker serving many dedup queries evicts FIFO instead
-#: of accumulating one corpus per query until OOM
-_MAX_WORKER_STATES = 4
-
-
-def _cached_state(key, build):
-    if key not in _WORKER_STATE:
-        while len(_WORKER_STATE) >= _MAX_WORKER_STATES:
-            _WORKER_STATE.pop(next(iter(_WORKER_STATE)))
-        _WORKER_STATE[key] = build()
-    return _WORKER_STATE[key]
-
-
 def _jaccard_verify_batch(
     df: pd.DataFrame, docs_ref, shingle_n: int, threshold_ppm: int
 ) -> pd.DataFrame:
     key = ("jac", docs_ref.hex(), shingle_n, threshold_ppm)
-    return _cached_state(
+    return worker_cached(
         key, lambda: JaccardVerifier(docs_ref, shingle_n, threshold_ppm)
     )(df)
 
 
 def _cosine_verify_batch(df: pd.DataFrame, emb_ref, threshold_ppm: int) -> pd.DataFrame:
     key = ("cos", emb_ref.hex(), threshold_ppm)
-    return _cached_state(key, lambda: CosineVerifier(emb_ref, threshold_ppm))(df)
+    return worker_cached(key, lambda: CosineVerifier(emb_ref, threshold_ppm))(df)
 
 
 def _verify_pairs_by_join(
@@ -271,20 +241,18 @@ def minhash_lsh_pairs(
     n_bands: int = 16,
     shingle_n: int = 3,
     threshold_ppm: int = 500_000,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Full MinHash-LSH near-dup pipeline:
     shingle → minhash → band rows → groupby(band) → candidate pairs →
     dedupe pairs → exact-Jaccard verify → (doc_a, doc_b, jaccard_ppm).
 
-    ``verify``: 'broadcast' ray.puts the (doc_id, text) table once and
-    looks pairs up per worker — right when the corpus fits the object
-    store of every node. 'join' re-joins pairs to the corpus with
-    partitioned hash joins — the 10^12-doc path, shuffling O(pairs).
-    'auto' (default) picks by corpus size: broadcasting the BIG side is
+    Verify path by corpus size (``agg.fits_broadcast`` of the parquet
+    footprint): a corpus that fits the object store of every node is
+    ``ray.put`` once as (doc_id, text) and looked up per worker; a
+    larger one is re-joined to the pairs with partitioned hash joins —
+    the 10^12-doc path, shuffling O(pairs). Broadcasting the BIG side is
     the one thing this pipeline must never do at scale."""
     path = f"{sf_dir}/documents.parquet"
-    verify = _resolve_verify(verify, path)
     ds = read_table(path, columns=["doc_id", "text"])
     bands = ds.map_batches(
         MinHashBander(k, n_bands, shingle_n), batch_format="pyarrow"
@@ -300,7 +268,7 @@ def minhash_lsh_pairs(
         .groupby("pb")
         .map_groups(_dedupe_pairs, batch_format="pandas")
     )
-    if verify == "join":
+    if not fits_broadcast(os.path.getsize(path)):
         return _verify_pairs_by_join(uniq, sf_dir, shingle_n, threshold_ppm)
     docs_ref = ray.put(pq.read_table(path, columns=["doc_id", "text"]))
     # task mode + per-worker cache instead of an actor pool: the state is
@@ -371,7 +339,7 @@ def _containment_verify_batch(
     df: pd.DataFrame, docs_ref, shingle_n: int, threshold_ppm: int
 ) -> pd.DataFrame:
     key = ("cont", docs_ref.hex(), shingle_n, threshold_ppm)
-    return _cached_state(
+    return worker_cached(
         key, lambda: ContainmentVerifier(docs_ref, shingle_n, threshold_ppm)
     )(df)
 
@@ -418,7 +386,6 @@ def containment_pairs(
     n_bands: int = 16,
     shingle_n: int = 3,
     threshold_ppm: int = 900_000,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Asymmetric near-dup detection: shingle CONTAINMENT re-scoring of
     the MinHash-LSH candidate pairs — C(A,B) = |S(A)∩S(B)| / |S(A)|
@@ -439,10 +406,9 @@ def containment_pairs(
     extreme-size-ratio containment (tiny A inside huge B) can fall below
     LSH recall — the documented trade for never going O(n²); lower the
     band width or shingle the small side only (fuzzy_match's workload
-    shape) when hunting those. verify='auto' picks broadcast vs
-    partitioned-join lookup by corpus size, exactly like the siblings."""
+    shape) when hunting those. The corpus size picks broadcast vs
+    partitioned-join lookup, exactly like the siblings."""
     path = f"{sf_dir}/documents.parquet"
-    verify = _resolve_verify(verify, path)
     ds = read_table(path, columns=["doc_id", "text"])
     bands = ds.map_batches(
         MinHashBander(k, n_bands, shingle_n), batch_format="pyarrow"
@@ -455,7 +421,7 @@ def containment_pairs(
         .groupby("pb")
         .map_groups(_dedupe_pairs, batch_format="pandas")
     )
-    if verify == "join":
+    if not fits_broadcast(os.path.getsize(path)):
         return _verify_containment_by_join(uniq, sf_dir, shingle_n, threshold_ppm)
     docs_ref = ray.put(pq.read_table(path, columns=["doc_id", "text"]))
     return uniq.map_batches(
@@ -852,13 +818,11 @@ def embedding_near_dup(
     sf_dir: str,
     threshold_ppm: int = 900_000,
     n_bits: int = 64,
-    verify: str = "auto",
 ) -> ray.data.Dataset:
     """Embedding-cosine near-dup: sign-LSH bucketing → candidate pairs →
-    exact cosine verify. Output: (vec_a, vec_b, cosine_ppm).
-    ``verify`` as in minhash_lsh_pairs: broadcast / join / auto-by-size."""
+    exact cosine verify. Output: (vec_a, vec_b, cosine_ppm). Verify by
+    broadcast or partitioned join, by size as in minhash_lsh_pairs."""
     path = f"{sf_dir}/embeddings.parquet"
-    verify = _resolve_verify(verify, path)
     # vector dim from the FIRST row group only — a full-column driver
     # read here would defeat the join-verify path's no-central-load point
     meta = pq.ParquetFile(path).read_row_group(0, columns=["embedding"])
@@ -883,7 +847,7 @@ def embedding_near_dup(
             batch_format="pandas",
         )
     )
-    if verify == "join":
+    if not fits_broadcast(os.path.getsize(path)):
         return _verify_vec_pairs_by_join(uniq, path, threshold_ppm)
     emb_ref = ray.put(pq.read_table(path, columns=["vec_id", "embedding"]))
     return uniq.map_batches(
@@ -1017,7 +981,7 @@ def minlabel_components(
     # size-aware exchange width for the per-round shuffles (same
     # rationale as pagerank's loop: K rounds × 2 exchanges must not fan
     # a small label table into N_COARSE buckets of a few rows each)
-    n_buckets = max(8, min(N_COARSE, n_nodes // 10_000 + 8))
+    n_buckets = shuffle_width(n_nodes)
 
     total = label_sum(labels)
     for _ in range(max_rounds):
@@ -1257,8 +1221,6 @@ def dedup_spans(sf_dir: str, window: int = 4) -> ray.data.Dataset:
     exploded = ds.map_batches(
         lambda df: _span_explode(df, window), batch_format="pandas"
     )
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     partials = bucketed_group_map(exploded, "h", _span_winner_partials)
     agg = bucketed_group_agg(
         partials,
@@ -1334,15 +1296,7 @@ def _seed_position_lists(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-#: broadcast-vs-join gate for the seed-list attach (the paragraph_dedup
-#: idiom): below this many bytes of (doc_id → positions) state the seeds
-#: ship once via ray.put and the text join exchange disappears entirely
-SCRUB_BROADCAST_MAX_BYTES = 1 << 30
-
-
-def substring_scrub(
-    sf_dir: str, k: int = 8, broadcast: bool | None = None
-) -> ray.data.Dataset:
+def substring_scrub(sf_dir: str, k: int = 8) -> ray.data.Dataset:
     """Exact SUBSTRING dedup with cleaned-text output, the rolling-window
     form of "Deduplicating Training Data Makes Language Models Better"
     (Lee et al., 2022): every k-token gram (EVERY start position, unlike
@@ -1362,14 +1316,12 @@ def substring_scrub(
     the 1 GiB gate the affected-doc map ships once via ``ray.put`` and
     the document text NEVER enters an exchange) or, above it, by the
     partitioned doc_id hash join where text moves exactly once —
-    paragraph_dedup's auto gate, both paths output-identical. No driver
+    paragraph_dedup's size gate, both paths output-identical. No driver
     text materialization; removal/rebuild is vectorized numpy coverage
     masking per batch.
 
     Output: (doc_id, n_tokens, n_removed, text_clean), one row per
     document (docs shorter than k tokens pass through unchanged)."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     exploded = docs.map_batches(
         lambda df: _gram_explode(df, k), batch_format="pandas"
@@ -1379,16 +1331,16 @@ def substring_scrub(
         seeds, "doc_id", _seed_position_lists
     ).materialize()  # ≤1 narrow row per affected doc — gate-sized below
 
-    if broadcast is None:
-        sz = seed_lists.map_batches(
-            lambda df: pd.DataFrame(
-                {"b": [int(df["positions"].str.len().sum()) + 16 * len(df)]}
-            ),
-            batch_format="pandas",
-        ).sum("b") or 0
-        broadcast = sz <= SCRUB_BROADCAST_MAX_BYTES
-
-    if broadcast:
+    # broadcast-vs-join gate for the seed-list attach (the
+    # paragraph_dedup idiom): when the (doc_id → positions) state fits,
+    # the seeds ship once via ray.put and the text join disappears
+    sz = seed_lists.map_batches(
+        lambda df: pd.DataFrame(
+            {"b": [int(df["positions"].str.len().sum()) + 16 * len(df)]}
+        ),
+        batch_format="pandas",
+    ).sum("b") or 0
+    if fits_broadcast(sz):
         parts = seed_lists.to_pandas()
         seed_ref = ray.put(dict(zip(parts["doc_id"], parts["positions"])))
 
@@ -1508,7 +1460,7 @@ def fuzzy_match(
     state_ref = ray.put((index, qshingles))
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
-        idx, qsh = _cached_state(
+        idx, qsh = worker_cached(
             ("fuzzy", state_ref.hex()), lambda: ray.get(state_ref)
         )
         qids_out, dids_out, ppms = [], [], []
@@ -1727,8 +1679,6 @@ def fingerprint_matches(
 
     def distinct_doc_hash(df: pd.DataFrame) -> pd.DataFrame:
         return df[["doc_id", "h"]].drop_duplicates()
-
-    from zerox_ray.pipelines.agg import bucketed_group_map
 
     fp = fps.map_batches(distinct_doc_hash, batch_format="pandas")
     pairs = bucketed_group_map(

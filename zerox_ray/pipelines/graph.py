@@ -41,7 +41,13 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from zerox_ray.pipelines.agg import bucketed_group_agg
+from zerox_ray.pipelines.agg import (
+    bucketed_group_agg,
+    bucketed_group_map,
+    cached_get,
+    fits_broadcast,
+    shuffle_width,
+)
 from zerox_ray.sources.pages import read_pages
 
 #: any absolute or root-relative href; the filter to in-corpus targets
@@ -54,10 +60,6 @@ _ANCHOR_RE = re.compile(rb'<a href="([^"]+)">([^<]*)</a>')
 
 PR_SCALE = 1_000_000  # rank quantization (micro-units)
 
-#: triangle_stats degree-broadcast gate: (key, deg) pairs ≈ 16 B/node,
-#: so 64M nodes ≈ 1 GiB — the same cap the dedup family's verify='auto'
-#: broadcast↔join switch uses; above it, partitioned joins attach degrees
-TRI_BCAST_CAP_NODES = 64_000_000
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100  # d = 0.85 as an exact rational
 PR_ITERS = 3
 
@@ -224,7 +226,6 @@ def inlink_summaries(
     Scale shape: the anchor scan (shuffle-free) then ONE dst-keyed
     coarse-bucket exchange; per-bucket work is a vectorized sort +
     grouped join over short strings."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
 
     def summarize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["dst", "anchor", "src"], kind="mergesort")
@@ -254,7 +255,7 @@ def anchor_augment(
     text via the partitioned 63-bit-url-key hash join — the join moves
     each text exactly once and the anchor side is O(linked pages); at
     the small-graph extreme the anchor rollup fits a size-gated
-    broadcast instead (the dedup verify='auto' idiom), kept out here
+    broadcast instead (the agg.fits_broadcast idiom), kept out here
     because the general corpus has anchor mass proportional to the
     corpus. Collision guard: the rollup side carries its url, rows are
     dropped unless the urls match (same posture as rank_curate)."""
@@ -399,9 +400,7 @@ def crawl_depth(
     # size-aware exchange width, same rationale as pagerank: K rounds ×
     # 2 shuffles each must not fan tiny frontiers into cluster-width
     # bucket counts
-    from zerox_ray.stages.classify import default_num_partitions
-
-    n_buckets = max(8, min(default_num_partitions(), ekeys.count() // 10_000 + 8))
+    n_buckets = shuffle_width(ekeys.count())
 
     for _ in range(max_hops):
         # clean Arrow out (same rationale as pagerank's contribs): hops
@@ -608,9 +607,7 @@ def link_components(
     # size-aware exchange width for the four one-shot joins (same
     # rationale as pagerank: don't fan a small node/edge table into
     # cluster-width buckets); edges ≈ 3×nodes on a link graph
-    from zerox_ray.stages.classify import default_num_partitions
-
-    _nb = max(8, min(default_num_partitions(), (3 * nodes.count()) // 10_000 + 8))
+    _nb = shuffle_width(3 * nodes.count())
 
     ekeys = link_graph(ds, prefix).map_batches(
         lambda t: pa.table(
@@ -794,12 +791,11 @@ def _pagerank_state(
     # counts (64 buckets × ~200 rows each is pure task overhead; measured
     # 6 s/round → ~2.5 s/round at 5k nodes). Large inputs still reach the
     # CPU-scaled default.
-    from zerox_ray.stages.classify import default_num_partitions
 
     n_nodes = nodes.count()
     n_edges = edges_deg.count()
     n_parts = max(8, min(1024, n_nodes // 250_000 + 8))
-    n_buckets = max(8, min(default_num_partitions(), n_edges // 10_000 + 8))
+    n_buckets = shuffle_width(n_edges)
 
     edges_deg = edges_deg.repartition(
         max(8, min(1024, n_edges // 250_000 + 8))
@@ -1048,7 +1044,6 @@ def hits(
     node's in-degree exceeds ~9×10⁶ — the upgrade path is a pre-shift
     (a_raw >> 20 before the multiply) at 1 µ-unit precision cost."""
     from zerox_ray.pipelines.relational import hash_join
-    from zerox_ray.stages.classify import default_num_partitions
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     nodes = ds.select_columns(["url"]).map_batches(
@@ -1073,7 +1068,7 @@ def hits(
     n_nodes = nodes.count()
     n_edges = ekeys.count()
     n_parts = max(8, min(1024, n_nodes // 250_000 + 8))
-    n_buckets = max(8, min(default_num_partitions(), n_edges // 10_000 + 8))
+    n_buckets = shuffle_width(n_edges)
 
     def zeros_out() -> ray.data.Dataset:
         return nodes.map_batches(
@@ -1265,7 +1260,7 @@ def kcore(
     url so output needs no extra join); each round is ONE slim
     (key, degree) grouped exchange, then the survivor key set restricts
     E — broadcast via ray.put + one shuffle-free searchsorted filter
-    when ≤ TRI_BCAST_CAP_NODES (8 B/node), TWO partitioned semi joins
+    when ``agg.fits_broadcast`` (8 B/node), TWO partitioned semi joins
     above it (both paths pinned output-identical in pytest) — per-round
     cost O(m) like PageRank, state in the object store, per-round
     coalesce. A round that removes nothing ends the loop (every later
@@ -1274,7 +1269,6 @@ def kcore(
     Output: (url, degree) for nodes with ≥ 1 induced edge after the
     final restriction — degree is counted in the surviving subgraph."""
     from zerox_ray.pipelines.relational import hash_join
-    from zerox_ray.stages.classify import default_num_partitions
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     raw = link_graph(ds, prefix) if edges is None else edges
@@ -1309,7 +1303,7 @@ def kcore(
             )
         )
 
-    n_buckets = max(8, min(default_num_partitions(), E.count() // 10_000 + 8))
+    n_buckets = shuffle_width(E.count())
 
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby("ak", as_index=False).agg(degree=("n", "sum"))
@@ -1331,7 +1325,7 @@ def kcore(
             num_buckets=n_buckets,
         )
         n_parts = max(8, min(1024, E.count() // 250_000 + 8))
-        if E.count() // 2 <= TRI_BCAST_CAP_NODES:
+        if fits_broadcast(E.count() // 2 * 8):
             deg_df = deg.to_pandas()  # ≤ cap rows by the edge bound
             if deg_df.empty:
                 break  # E already rowless: nothing left to peel
@@ -1541,8 +1535,6 @@ def coupling_counts(
             {"n_targets": "int64"}
         )
 
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     partials = bucketed_group_map(
         edges.map_batches(dedupe, batch_format="pandas"), "dst", pairs_of_bucket
     )
@@ -1587,7 +1579,6 @@ def adamic_adar(
     exclusion is a set probe inside the group — existing edges never
     leave the task as output. Per-task memory is O(bucket candidate
     mass), bounded by the cap."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
 
     edges = link_graph(pages, prefix) if edges is None else edges
 
@@ -1993,8 +1984,6 @@ def host_quota(
         g["rank"] = g.groupby("host").cumcount().astype("int64") + 1
         return g
 
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return bucketed_group_map(partials, "host", final)
 
@@ -2050,8 +2039,6 @@ def host_schedule(
                 "planned_fetch_us": (base + slot * delay_us).astype("int64"),
             }
         )
-
-    from zerox_ray.pipelines.agg import bucketed_group_map
 
     return bucketed_group_map(
         ds.map_batches(slim, batch_format="pyarrow"), "host", schedule
@@ -2180,16 +2167,14 @@ def _oriented_edges(
             }
         )
 
-    if n_nodes <= TRI_BCAST_CAP_NODES:
-        deg_pd = deg.to_pandas()  # bounded by the same 1 GiB cap
+    if fits_broadcast(n_nodes * 16):
+        deg_pd = deg.to_pandas()  # bounded by the broadcast cap (16 B/node)
         deg_ref = ray.put(
             dict(zip(deg_pd["v"].to_numpy(np.int64), deg_pd["deg"].to_numpy(np.int64)))
         )
 
         def attach_and_orient(df: pd.DataFrame) -> pd.DataFrame:
-            from zerox_ray.pipelines.dataops import _cached_broadcast
-
-            dm = _cached_broadcast("tri_deg", deg_ref)
+            dm = cached_get("tri_deg", deg_ref)
             df = df.assign(
                 deg_a=df["a"].map(dm).astype("int64"),
                 deg_b=df["b"].map(dm).astype("int64"),
@@ -2316,8 +2301,6 @@ def triangle_stats(
             }
         )
 
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     cand = bucketed_group_map(oriented, "u", candidates)
 
     def count_hits(g: pd.DataFrame) -> pd.DataFrame:
@@ -2370,7 +2353,6 @@ def local_clustering(
     left joins back to urls. int64 bound: the ppm numerator 2·t·1M
     needs t < 4.6e12 (deg ≲ 3M) — beyond that DuckDB's BIGINT errors
     rather than wraps, and the engine would need object-dtype math."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
     from zerox_ray.pipelines.relational import hash_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
@@ -2579,16 +2561,14 @@ def degree_assortativity(
             }
         )
 
-    if n_nodes <= TRI_BCAST_CAP_NODES:
+    if fits_broadcast(n_nodes * 16):
         deg_pd = deg.to_pandas()  # bounded by the broadcast cap (16 B/node)
         deg_ref = ray.put(
             dict(zip(deg_pd["v"].to_numpy(np.int64), deg_pd["deg"].to_numpy(np.int64)))
         )
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:
-            from zerox_ray.pipelines.dataops import _cached_broadcast
-
-            dm = _cached_broadcast("assort_deg", deg_ref)
+            dm = cached_get("assort_deg", deg_ref)
             return moments(
                 df.assign(
                     deg_a=df["a"].map(dm).astype("int64"),
@@ -2656,15 +2636,13 @@ def lpa_communities(
     Scale shape: symmetrized distinct edges via ONE (v, u) exchange;
     per round the O(nodes) label table attaches to the neighbor side —
     shuffle-free via a ray.put'd sorted key/label array pair +
-    searchsorted when ≤ TRI_BCAST_CAP_NODES (16 B/node), ONE
+    searchsorted when ``agg.fits_broadcast`` (16 B/node), ONE
     partitioned hash join above it (both paths pinned
     output-identical in pytest) — then per-batch partial (v, label)
     counts and ONE v-bucketed reduce picking the argmax label; two
     label→url back-joins finish (link_components' tail). Per-round
     cost is O(m) rows of 24 B, state in the object store."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
     from zerox_ray.pipelines.relational import hash_join
-    from zerox_ray.stages.classify import default_num_partitions
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     raw = link_graph(ds, prefix) if edges is None else edges
@@ -2722,7 +2700,7 @@ def lpa_communities(
 
     # size-aware widths, the pagerank lesson: don't fan tiny per-round
     # tables into cluster-width buckets
-    n_buckets = max(8, min(default_num_partitions(), E.count() // 10_000 + 8))
+    n_buckets = shuffle_width(E.count())
     n_parts = max(8, min(1024, E.count() // 250_000 + 8))
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2741,7 +2719,7 @@ def lpa_communities(
         )
 
     for _ in range(rounds):
-        if n_nodes <= TRI_BCAST_CAP_NODES:
+        if fits_broadcast(n_nodes * 16):
             lab_pd = labels.to_pandas()  # ≤ cap rows (16 B/node)
             keys = lab_pd["v"].to_numpy(np.int64)
             order = np.argsort(keys, kind="stable")
@@ -2788,7 +2766,7 @@ def lpa_communities(
 
     # linkless pages are their own community: anti-join via the labeled
     # key set (O(nodes) — same broadcast gate as the rounds)
-    if n_nodes <= TRI_BCAST_CAP_NODES:
+    if fits_broadcast(n_nodes * 8):
         lab_keys = np.sort(labels.select_columns(["v"]).to_pandas()["v"].to_numpy(np.int64))
         lk_ref = ray.put(lab_keys)
 
@@ -2847,7 +2825,7 @@ def bowtie_census(
     per-batch top-1 partials over the inlink rollup (≤1 row per block
     reaches the driver). The CORE intersection ships the forward key
     set via ray.put + searchsorted membership partials under
-    TRI_BCAST_CAP_NODES (8 B/node), ONE semi hash-join count above it
+    ``agg.fits_broadcast`` (8 B/node), ONE semi hash-join count above it
     (paths pinned identical in pytest); everything else is dataset
     counts — four scalars on the driver."""
     from zerox_ray.pipelines.relational import hash_join
@@ -2912,7 +2890,7 @@ def bowtie_census(
         ),
         batch_format="pyarrow",
     )
-    if n_f <= TRI_BCAST_CAP_NODES:
+    if fits_broadcast(n_f * 8):
         fk = np.sort(fkeys.to_pandas()["fk"].to_numpy(np.int64))
         fk_ref = ray.put(fk)
 
@@ -2950,7 +2928,6 @@ def random_walks(
     O(seeds) walker frontier against it — the per-round shape PageRank
     uses, with the frontier shrinking monotonically. Url equality is
     checked through the join (h63 collisions cannot misroute a walk)."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
     from zerox_ray.pipelines.relational import hash_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
@@ -3064,11 +3041,11 @@ def mirror_hosts(
     sorted-unique linkers capped at ``max_citers`` emit C(k, 2) pairs
     inside the reduce task, ONE pair-key grouped sum); degree
     attachment via the size-gated broadcast↔join switch
-    (TRI_BCAST_CAP_NODES, 23 hosts here / ~10⁸ at web scale — either
-    side of the cap works and pytest pins the paths identical).
+    (``agg.fits_broadcast`` at 16 B/host, 23 hosts here / ~10⁸ at web
+    scale — either side of the gate works and pytest pins the paths
+    identical).
     Output: (host_a, host_b, n_common, deg_a, deg_b, jaccard_ppm) with
     host_a < host_b."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
     from zerox_ray.pipelines.relational import hash_join
 
     he = host_edges(pages, prefix)
@@ -3149,14 +3126,12 @@ def mirror_hosts(
             }
         )
         return ray.data.from_arrow(empty)
-    if n_hosts <= TRI_BCAST_CAP_NODES:
-        deg_pd = deg.to_pandas()  # bounded by the broadcast cap (~30 B/host)
+    if fits_broadcast(n_hosts * 16):
+        deg_pd = deg.to_pandas()  # bounded by the broadcast gate
         deg_ref = ray.put(dict(zip(deg_pd["host"], deg_pd["deg"].to_numpy(np.int64))))
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:
-            from zerox_ray.pipelines.dataops import _cached_broadcast
-
-            dm = _cached_broadcast("mirror_deg", deg_ref)
+            dm = cached_get("mirror_deg", deg_ref)
             return finish(
                 df.assign(
                     deg_a=df["host_a"].map(dm).astype("int64"),
@@ -3235,8 +3210,6 @@ def robots_filter(
     rule (rules × batch vectorized, no per-row Python)."""
     import ray as _ray
 
-    from zerox_ray.pipelines.dataops import _cached_broadcast
-
     if rules is None:
         rules = robots_rules()
     by_host: dict[str, list[str]] = {}
@@ -3249,7 +3222,7 @@ def robots_filter(
     )
 
     def gate(t: pa.Table) -> pa.Table:
-        rb = _cached_broadcast("robots", ref)
+        rb = cached_get("robots", ref)
         urls = t["url"]
         hosts = host_of(urls)
         u = pd.Series(urls.to_pylist(), dtype="string")

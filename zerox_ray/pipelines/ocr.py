@@ -492,15 +492,9 @@ def write_markdown_files(docs: ray.data.Dataset, out_dir: str) -> int:
     return int(sum(r["files_written"] for r in counts.take_all()))
 
 
-#: changed-url sets up to this many BYTES (8 per 63-bit key) broadcast
-#: via ray.put; see run_ocr_incremental's docstring for the above-cap path
-INCR_BROADCAST_MAX_BYTES = 1 << 30
-
-
 def run_ocr_incremental(
     path: str | list[str],
     cfg: ZeroxConfig | None = None,
-    broadcast: bool | None = None,
 ) -> ray.data.Dataset:
     """Incremental re-extraction over a MULTI-snapshot pages table: OCR
     only the urls whose newest snapshot is first-seen or changed
@@ -517,10 +511,11 @@ def run_ocr_incremental(
     incremental extraction pays). Above the gate, fall back to a
     url-keyed hash semi-join of the collapsed pages against the changed
     set — one payload exchange, still strictly cheaper than extracting
-    the unchanged majority. ``broadcast``: None = auto by the size gate;
-    True/False pin a path (both output-identical, both tested)."""
+    the unchanged majority. ``agg.fits_broadcast`` picks the path (both
+    output-identical, both tested)."""
     import numpy as np
 
+    from zerox_ray.pipelines.agg import fits_broadcast
     from zerox_ray.pipelines.graph import _h63
     from zerox_ray.sources.pages import read_pages, snapshot_delta
 
@@ -537,9 +532,7 @@ def run_ocr_incremental(
     changed = delta.map_batches(changed_keys, batch_format="pyarrow").materialize()
     pages = read_pages(path, latest_snapshot_only=True)
 
-    if broadcast is None:
-        broadcast = changed.count() * 8 <= INCR_BROADCAST_MAX_BYTES
-    if broadcast:
+    if fits_broadcast(changed.count() * 8):
         keys = np.sort(changed.to_pandas()["k"].to_numpy(np.int64))
         keys_ref = ray.put(keys)
 

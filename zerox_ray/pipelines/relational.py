@@ -31,7 +31,12 @@ import ray
 import ray.data
 
 from zerox_ray.sources.tables import read_table
-from zerox_ray.pipelines.agg import bucketed_group_agg
+from zerox_ray.pipelines.agg import (
+    _bucket_ids,
+    bucketed_group_agg,
+    shuffle_width,
+    worker_cached,
+)
 
 CENTS = 100
 
@@ -73,14 +78,9 @@ class _NationEnricher:
         return part
 
 
-_WORKER_STATE: dict = {}
-
-
 def _enrich_batch(df, cust_ref, nation_ref):
     key = ("nation", cust_ref.hex(), nation_ref.hex())
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _NationEnricher(cust_ref, nation_ref)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _NationEnricher(cust_ref, nation_ref))(df)
 
 
 def orders_by_nation(sf_dir: str) -> ray.data.Dataset:
@@ -116,15 +116,16 @@ def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: str,
-    num_buckets: int = 64,
+    num_buckets: int | None = None,
     how: str = "inner",
     salt: int = 1,
 ) -> ray.data.Dataset:
     """Partitioned hash join of two Datasets on an int64 key.
 
-    bucket(key) is added to both sides; a tagged union + ONE groupby
-    co-locates buckets; pandas merges within each bucket. At 100 TB the
-    bucket count is the shuffle width — size it to cluster CPUs.
+    bucket(key) (``agg._bucket_ids``) is added to both sides; a tagged
+    union + ONE groupby co-locates buckets; pandas merges within each
+    bucket. The bucket count defaults to ``agg.shuffle_width()``, the
+    cluster width.
 
     ``salt > 1`` is the hot-key lever: LEFT rows spread across ``salt``
     sub-buckets per key (round-robin — join output is order-insensitive,
@@ -151,6 +152,8 @@ def hash_join(
             # pandas-block schemas carry numpy dtypes / python types
             return str(typ).startswith(("int", "uint"))
 
+    if num_buckets is None:
+        num_buckets = shuffle_width()
     lschema, rschema = left.schema(), right.schema()
     # a rowless side can surface with NO schema at all (e.g. a groupby
     # over an empty stream) — resolve the join semantically instead of
@@ -248,12 +251,12 @@ def hash_join(
     _order = list(dict.fromkeys(lcols + rcols)) + ["__bucket", "__side"]
 
     def tag_left(t: _pa.Table) -> _pa.Table:
-        keys = t[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        sub = np.arange(len(keys), dtype=np.int64) % salt
-        bucket = (keys % num_buckets) * salt + sub
+        n = t.num_rows
+        sub = np.arange(n, dtype=np.int64) % salt
+        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
         t = t.append_column(
             "__bucket", _pa.array(bucket, _pa.int64())
-        ).append_column("__side", _pa.array(["L"] * len(keys), _pa.string()))
+        ).append_column("__side", _pa.array(["L"] * n, _pa.string()))
         # strip pandas metadata: blocks that arrived from a pandas stage
         # carry an unhashable schema-metadata dict, which breaks Ray's
         # shuffle schema dedup (one warning per reduce concat) and ships
@@ -267,8 +270,7 @@ def hash_join(
             sub = np.tile(np.arange(salt, dtype=np.int64), n)
         else:
             sub = np.zeros(n, dtype=np.int64)
-        keys = t[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = (keys % num_buckets) * salt + sub
+        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
         t = t.append_column(
             "__bucket", _pa.array(bucket, _pa.int64())
         ).append_column("__side", _pa.array(["R"] * t.num_rows, _pa.string()))
@@ -1092,9 +1094,7 @@ class _StarEnricher:
 
 def _star_batch(df, part_ref, supp_region_ref):
     key = ("star", part_ref.hex(), supp_region_ref.hex())
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _StarEnricher(part_ref, supp_region_ref)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _StarEnricher(part_ref, supp_region_ref))(df)
 
 
 def brand_region_revenue(sf_dir: str) -> ray.data.Dataset:
@@ -1192,9 +1192,7 @@ class _CubeEnricher:
 
 def _cube_batch(df, cust_ref, nation_ref):
     key = ("cube", cust_ref.hex(), nation_ref.hex())
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _CubeEnricher(cust_ref, nation_ref)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _CubeEnricher(cust_ref, nation_ref))(df)
 
 
 def revenue_cube(sf_dir: str) -> ray.data.Dataset:
@@ -1402,7 +1400,12 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
     (from, to) partials then collapse in ONE tiny grouped sum bounded by
     |event types|² rows, never by the stream length.
     Output: (from_type, to_type, n)."""
-    from zerox_ray.pipelines.agg import bucketed_group_agg
+    from zerox_ray.pipelines.agg import (
+    _bucket_ids,
+    bucketed_group_agg,
+    shuffle_width,
+    worker_cached,
+)
 
     ds = read_table(
         f"{sf_dir}/events.parquet",
@@ -1468,7 +1471,12 @@ def session_attribution(sf_dir: str, gap_hours: int = 8) -> ray.data.Dataset:
     vectorized run-length sessionization + one scatter-add per bucket,
     then a tiny (first_type) grouped sum (≤ |event types| rows). Output:
     (first_type, n_sessions, revenue_cents)."""
-    from zerox_ray.pipelines.agg import bucketed_group_agg
+    from zerox_ray.pipelines.agg import (
+    _bucket_ids,
+    bucketed_group_agg,
+    shuffle_width,
+    worker_cached,
+)
 
     gap_us = gap_hours * 3600 * _US
     ds = read_table(
@@ -1640,7 +1648,12 @@ def conversion_paths(sf_dir: str) -> ray.data.Dataset:
     Scale shape: identical to event_transitions — ONE user-bucket
     exchange, two shifted boundary-masked views per bucket, ONE grouped
     sum bounded by |types|². Output: (prev2_type, prev1_type, n)."""
-    from zerox_ray.pipelines.agg import bucketed_group_agg
+    from zerox_ray.pipelines.agg import (
+    _bucket_ids,
+    bucketed_group_agg,
+    shuffle_width,
+    worker_cached,
+)
 
     ds = read_table(
         f"{sf_dir}/events.parquet",

@@ -25,7 +25,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from zerox_ray.pipelines.agg import bucketed_group_agg
+from zerox_ray.pipelines.agg import bucketed_group_agg, cached_get, worker_cached
 from zerox_ray.sources.tables import read_table
 
 
@@ -89,23 +89,19 @@ class _TopKPartial:
         )
 
 
-# per-worker state caches: task mode + one zero-copy ray.get per worker
-# replaces actor pools (whose per-query startup dominated at bench scale)
-_WORKER_STATE: dict = {}
+# per-worker state caches (agg.worker_cached): task mode + one zero-copy
+# ray.get per worker replaces actor pools (whose per-query startup
+# dominated at bench scale)
 
 
 def _topk_partial_batch(df, queries_ref, k):
     key = ("bf", queries_ref.hex(), k)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _TopKPartial(queries_ref, k)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _TopKPartial(queries_ref, k))(df)
 
 
 def _ivf_partial_batch(df, state_ref, k):
     key = ("ivf", state_ref.hex(), k)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _IvfPartial(state_ref, k)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _IvfPartial(state_ref, k))(df)
 
 
 def _final_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -188,9 +184,7 @@ class _RadiusPartial:
 
 def _radius_partial_batch(df, queries_ref, threshold_ppm):
     key = ("radius", queries_ref.hex(), threshold_ppm)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _RadiusPartial(queries_ref, threshold_ppm)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _RadiusPartial(queries_ref, threshold_ppm))(df)
 
 
 def _load_raw_queries(path: str, n_queries: int):
@@ -752,14 +746,13 @@ def embedding_quantize(sf_dir: str) -> ray.data.Dataset:
     code_chk = Σ (j+1)·c_j is an order-sensitive checksum that pins
     EVERY code value; recon_err_milli = Σ |q_j − dequant(c_j)| is the
     exact-integer reconstruction error the oracle replays."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     qmin, rng = _affine_quant_params(ds)
     ref = ray.put((qmin, rng))
 
     def quantize(df: pd.DataFrame) -> pd.DataFrame:
-        lo, r = _cached_broadcast("eqnt", ref)
+        lo, r = cached_get("eqnt", ref)
         mat = np.stack(df["embedding"].to_numpy())
         q = np.floor(mat.astype(np.float64) * 1000).astype(np.int64)
         c = ((q - lo) * 255) // r
@@ -796,7 +789,6 @@ def ann_quantized_topk(
     and emits its local top-k per query (~Q·k rows per batch); ONE tiny
     groupby on qid merges partials. Ties break on neighbor_id so ranks
     are deterministic. Output: (qid, neighbor_id, rank, score)."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     path = f"{sf_dir}/embeddings.parquet"
     ds = read_table(path, columns=["vec_id", "embedding"])
@@ -806,7 +798,7 @@ def ann_quantized_topk(
     ref = ray.put((ids, qdeq, qmin, rng))
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        qids, qd, lo, r = _cached_broadcast("annq", ref)
+        qids, qd, lo, r = cached_get("annq", ref)
         vids = df["vec_id"].to_numpy(dtype=np.int64)
         deq = _dequant_milli(np.stack(df["embedding"].to_numpy()), lo, r)
         s = qd @ deq.T  # (Q, batch) exact int64
@@ -881,12 +873,10 @@ def hard_negatives(
     qlabels = np.asarray(cols["label"].to_pylist(), dtype=np.int64)
     ref = ray.put((qids, qmat, qlabels))
 
-    from zerox_ray.pipelines.dataops import _cached_broadcast
-
     ds = read_table(path, columns=["vec_id", "embedding", "label"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ids_q, qm, ql = _cached_broadcast("hardneg", ref)
+        ids_q, qm, ql = cached_get("hardneg", ref)
         vids = df["vec_id"].to_numpy(dtype=np.int64)
         labels = df["label"].to_numpy(dtype=np.int64)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
@@ -939,12 +929,10 @@ def contrastive_triplets(sf_dir: str, n_queries: int = 8) -> ray.data.Dataset:
     qlabels = np.asarray(cols["label"].to_pylist(), dtype=np.int64)
     ref = ray.put((qids, qmat, qlabels))
 
-    from zerox_ray.pipelines.dataops import _cached_broadcast
-
     ds = read_table(path, columns=["vec_id", "embedding", "label"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ids_q, qm, ql = _cached_broadcast("triplets", ref)
+        ids_q, qm, ql = cached_get("triplets", ref)
         vids = df["vec_id"].to_numpy(dtype=np.int64)
         labels = df["label"].to_numpy(dtype=np.int64)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
@@ -1049,9 +1037,7 @@ class _TruncTopKPartial:
 
 def _trunc_partial_batch(df, queries_ref, dims, k):
     key = ("trunc", queries_ref.hex(), dims, k)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = _TruncTopKPartial(queries_ref, dims, k)
-    return _WORKER_STATE[key](df)
+    return worker_cached(key, lambda: _TruncTopKPartial(queries_ref, dims, k))(df)
 
 
 def ann_truncated_recall(

@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray.data
 
 from zerox_ray.functions.hashing import md5_64_array
-from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map
+from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map, cached_get
 from zerox_ray.sources.tables import read_table
 
 PPM = 1_000_000
@@ -292,13 +292,12 @@ def unigram_logprobs(sf_dir: str) -> ray.data.Dataset:
     Output: (doc_id, lang, n_words, ic_sum, xent_micro) — xent_micro is
     the integer mean information content, the replayable stand-in for
     the KenLM perplexity CCNet buckets on."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ic, _ = _corpus_unigram_ic(sf_dir)
     ic_ref = ray.put(ic)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        return _score_batch(df, _cached_broadcast("unigram_ic", ic_ref))
+        return _score_batch(df, cached_get("unigram_ic", ic_ref))
 
     return read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
@@ -322,13 +321,12 @@ def perplexity_buckets(sf_dir: str) -> ray.data.Dataset:
        share a bucket, which the oracle mirrors exactly.
 
     Driver state is langs × 4096 ints at ANY corpus size."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ic, _ = _corpus_unigram_ic(sf_dir)
     ic_ref = ray.put(ic)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        out = _score_batch(df, _cached_broadcast("unigram_ic", ic_ref))
+        out = _score_batch(df, cached_get("unigram_ic", ic_ref))
         return out[["doc_id", "lang", "xent_micro"]]
 
     scores = (
@@ -340,7 +338,7 @@ def perplexity_buckets(sf_dir: str) -> ray.data.Dataset:
     state_ref = _tertile_state(scores)
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        pct = _pct_ppm(df, _cached_broadcast("pplx_state", state_ref))
+        pct = _pct_ppm(df, cached_get("pplx_state", state_ref))
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
@@ -466,13 +464,12 @@ def quality_curate(sf_dir: str) -> ray.data.Dataset:
     shuffle-free filter, and dedup is ONE content-hash exchange keeping
     min-doc_id. Output: (doc_id, lang, n_words, xent_micro, mean_milli,
     bucket) for surviving documents."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ic, _ = _corpus_unigram_ic(sf_dir)
     ic_ref = ray.put(ic)
 
     def metrics(df: pd.DataFrame) -> pd.DataFrame:
-        icm = _cached_broadcast("unigram_ic", ic_ref)
+        icm = cached_get("unigram_ic", ic_ref)
         flat, n_words, doc_idx = _doc_token_stats(df["text"])
         n_docs = len(df)
         # one unique-term view feeds all three scorers (shared kernels —
@@ -513,7 +510,7 @@ def quality_curate(sf_dir: str) -> ray.data.Dataset:
     state_ref = _tertile_state(scored)
 
     def gate(df: pd.DataFrame) -> pd.DataFrame:
-        pct = _pct_ppm(df, _cached_broadcast("qc_state", state_ref))
+        pct = _pct_ppm(df, cached_get("qc_state", state_ref))
         bucket = _tertile_bucket(pct)
         keep = (df["gate"].to_numpy(np.int64) == 1) & (bucket != "tail")
         out = df.loc[keep, ["doc_id", "lang", "h", "n_words", "xent_micro", "mean_milli"]]
@@ -654,7 +651,6 @@ def bigram_logprobs(sf_dir: str, min_count: int = 2) -> ray.data.Dataset:
     Output: (doc_id, lang, n_bigrams, ic2_sum, xent2_micro) — one row
     per document with ≥ 2 words (a 1-word doc has no bigram to score,
     exactly the rows the SQL mirror's pair-unnest drops)."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     c1, c2, total = _corpus_bigram_model(sf_dir, min_count)
     ic2 = {
@@ -664,7 +660,7 @@ def bigram_logprobs(sf_dir: str, min_count: int = 2) -> ray.data.Dataset:
     model_ref = ray.put((ic2, back))
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        ic2_b, back_b = _cached_broadcast("bigram_model", model_ref)
+        ic2_b, back_b = cached_get("bigram_model", model_ref)
         flat, n_words, doc_idx = _doc_token_stats(df["text"])
         m = (
             doc_idx[:-1] == doc_idx[1:]
@@ -725,7 +721,7 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
     sum. Three bounded exchanges over token-scale integer rows, payload
     read once. At heavy-tail web scale the common-key side is the SMALL
     side (recurring bigrams ≪ singletons) — below the 1 GiB gate it
-    broadcasts instead of joining (the dedup verify='auto' idiom; kept
+    broadcasts instead of joining (the agg.fits_broadcast idiom; kept
     as the partitioned join here since the common mass grows with the
     corpus). Honest cap: 63-bit bigram keys birthday-collide around
     3×10⁹ distinct bigrams; a collision conflates two bigrams' document
@@ -853,13 +849,12 @@ def tier_shards(sf_dir: str, tokens_per_shard: int = 2_000) -> ray.data.Dataset:
     token_shards two-pass with the range key extended by the tier code,
     so the driver scan stays ≤ 3 × n_docs/4096 rows and shard ids are
     LOCAL to each tier. Output: (doc_id, tier, n_tokens, shard_id)."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ic, _ = _corpus_unigram_ic(sf_dir)
     ic_ref = ray.put(ic)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        out = _score_batch(df, _cached_broadcast("unigram_ic", ic_ref))
+        out = _score_batch(df, cached_get("unigram_ic", ic_ref))
         return out[["doc_id", "lang", "n_words", "xent_micro"]]
 
     scored = (
@@ -871,7 +866,7 @@ def tier_shards(sf_dir: str, tokens_per_shard: int = 2_000) -> ray.data.Dataset:
     state_ref = _tertile_state(scored)
 
     def tier_of(df: pd.DataFrame) -> pd.DataFrame:
-        pct = _pct_ppm(df, _cached_broadcast("tier_state", state_ref))
+        pct = _pct_ppm(df, cached_get("tier_state", state_ref))
         tier = _tertile_bucket(pct)
         code = np.where(pct * 3 < PPM, 0, np.where(pct * 3 < 2 * PPM, 1, 2))
         doc_id = df["doc_id"].to_numpy(np.int64)
@@ -914,7 +909,7 @@ def tier_shards(sf_dir: str, tokens_per_shard: int = 2_000) -> ray.data.Dataset:
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         # many rng keys per bucket (bucketed_group_map contract):
         # vectorized per-key exclusive cumsum + the key's global offset
-        off = _cached_broadcast("tier_shard_off", off_ref)
+        off = cached_get("tier_shard_off", off_ref)
         g = g.sort_values(["rng", "doc_id"], kind="mergesort")
         tok = g["n_tokens"].to_numpy(np.int64)
         excl = (
@@ -1044,7 +1039,6 @@ def pmi_pairs(
     exceed int64 at web scale, which DuckDB mirrors in HUGEINT.
 
     Output: (w1, w2, n, pmi_ratio_ppm) with w1 ≤ w2."""
-    from zerox_ray.pipelines.dataops import _cached_broadcast
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
@@ -1089,7 +1083,7 @@ def pmi_pairs(
     model_ref = ray.put((c1, t_total, p_total))
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        c1_b, t_b, p_b = _cached_broadcast("pmi_model", model_ref)
+        c1_b, t_b, p_b = cached_get("pmi_model", model_ref)
         df = df[df["n"] >= min_count]
         # exact big-int PMI per MODEL row (bounded table, not corpus
         # scale): c_ab·T² overflows int64 at web scale, so Python ints
@@ -1299,8 +1293,6 @@ def classifier_trained_scores(
     lookup table. Output: (doc_id, n_tok, score_ppm, keep)."""
     import ray
 
-    from zerox_ray.pipelines.dataops import _cached_broadcast
-
     model = classifier_train(sf_dir, n_buckets).to_pandas()  # ≤ n_buckets rows
     dense = np.zeros(n_buckets, np.int64)
     dense[model["bucket"].to_numpy(np.int64)] = model["pos_rate_ppm"].to_numpy(
@@ -1311,7 +1303,7 @@ def classifier_trained_scores(
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        w = _cached_broadcast("nbmodel", ref)
+        w = cached_get("nbmodel", ref)
         flat, n_tok, doc_idx = _doc_token_stats(df["text"])
         uniq, term_id = np.unique(flat, return_inverse=True)
         bucket = (
@@ -1423,14 +1415,12 @@ def bpe_encode(sf_dir: str, rounds: int = BPE_ROUNDS) -> ray.data.Dataset:
     replace chain over the flat word view, no exchange at all."""
     import ray
 
-    from zerox_ray.pipelines.dataops import _cached_broadcast
-
     _, pats = _bpe_state(sf_dir, rounds)
     ref = ray.put(pats)
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def encode(df: pd.DataFrame) -> pd.DataFrame:
-        patterns = _cached_broadcast("bpe_pats", ref)
+        patterns = cached_get("bpe_pats", ref)
         flat, n_words, doc_idx = _doc_token_stats(df["text"])
         s = pd.Series(flat, dtype="string")
         for pat, ph in patterns:

@@ -30,7 +30,8 @@ from __future__ import annotations
 import pandas as pd
 
 from zerox_ray.models.base import create_model
-from zerox_ray.stages.score import STATUS_SUCCESS, completion_to_row
+from zerox_ray.pipelines.agg import worker_cached
+from zerox_ray.stages.score import STATUS_SUCCESS, complete_with_retries, completion_to_row
 
 PAGE_JOIN = "\n\n"
 DOC_JOIN = "\n<hr><hr>\n"  # full-doc extraction separator (index.ts:482-491)
@@ -213,18 +214,13 @@ def merge_partials_bucket(df: pd.DataFrame) -> pd.DataFrame:
 
 # --- maintain_format: per-url ordered fold over raw fragments ----------------
 
-_MODEL_CACHE: dict = {}
-
-
 def _cached_model(provider: str, kwargs: dict | None):
     """One model per (worker process, config) — map_groups runs as tasks, so
-    actor-style __init__ state is emulated with a module-level cache.
+    actor-style __init__ state is emulated with the per-worker cache.
     Key is repr-based: model_kwargs legitimately contain unhashable
     values (e.g. a credentials dict for networked providers)."""
-    key = (provider, repr(sorted((kwargs or {}).items())))
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = create_model(provider, **(kwargs or {}))
-    return _MODEL_CACHE[key]
+    key = ("model", provider, repr(sorted((kwargs or {}).items())))
+    return worker_cached(key, lambda: create_model(provider, **(kwargs or {})))
 
 
 def maintain_format_fold_bucket(
@@ -264,8 +260,14 @@ def maintain_format_fold_bucket(
                     raise ValueError(f"{url}: {err}")
                 comp = Completion("", 0, 0, error=err)
             else:
-                comp = _complete_retry(
-                    model, bytes(fragment), kind, prior_tail, max_retries, error_mode
+                comp = complete_with_retries(
+                    model,
+                    bytes(fragment),
+                    kind,
+                    max_retries,
+                    error_mode,
+                    maintain_format=True,
+                    prior_tail=prior_tail,
                 )
             rows.append(completion_to_row(url, pid, page_index, comp))
             if comp.error is not None:
@@ -286,18 +288,3 @@ def maintain_format_fold_bucket(
             "output_tokens",
         ],
     )
-
-
-def _complete_retry(model, fragment, kind, prior_tail, max_retries, error_mode):
-    from zerox_ray.models.base import Completion
-
-    attempt = 0
-    while True:
-        try:
-            return model.complete(fragment, kind, maintain_format=True, prior_tail=prior_tail)
-        except Exception as exc:  # noqa: BLE001
-            if attempt >= max_retries:
-                if error_mode == "THROW":
-                    raise
-                return Completion("", 0, 0, error=str(exc)[:256])
-            attempt += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from zerox_ray.models.base import create_model
+from zerox_ray.models.base import Completion, create_model
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -66,6 +66,24 @@ def completion_to_row(url, pid, page_index, completion) -> dict:
     }
 
 
+def complete_with_retries(model, fragment, kind, max_retries, error_mode, **kwargs):
+    """runRetries parity (utils/common.ts:62-80): up to ``1 + max_retries``
+    ``model.complete`` attempts for one page; the last failure raises
+    under THROW, else becomes an error Completion. ``kwargs`` reach
+    ``complete`` unchanged (the maintain_format fold passes
+    ``maintain_format=True, prior_tail=...``)."""
+    attempt = 0
+    while True:
+        try:
+            return model.complete(fragment, kind, **kwargs)
+        except Exception as exc:  # noqa: BLE001
+            if attempt >= max_retries:
+                if error_mode == "THROW":
+                    raise
+                return Completion("", 0, 0, error=str(exc)[:256])
+            attempt += 1
+
+
 def rows_to_table(rows: list[dict], with_logprobs: bool = False) -> pa.Table:
     schema = EXTRACTED_SCHEMA_LOGPROBS if with_logprobs else EXTRACTED_SCHEMA
     cols = {name: [r[name] for r in rows] for name in schema.names}
@@ -93,20 +111,6 @@ class Scorer:
         # an empty list) — per-batch schema drift would break the union
         self.with_logprobs = bool((model_kwargs or {}).get("logprobs"))
 
-    def _complete_with_retries(self, fragment: bytes, kind: str):
-        attempt = 0
-        while True:
-            try:
-                return self.model.complete(fragment, kind)
-            except Exception as exc:  # noqa: BLE001
-                if attempt >= self.max_retries:
-                    if self.error_mode == "THROW":
-                        raise
-                    from zerox_ray.models.base import Completion
-
-                    return Completion("", 0, 0, error=str(exc)[:256])
-                attempt += 1
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
         for url, pid, idx, kind, frag in zip(
@@ -117,13 +121,13 @@ class Scorer:
             batch["fragment"].to_pylist(),
         ):
             if kind == "error":
-                from zerox_ray.models.base import Completion
-
                 err = frag.decode("utf-8", errors="replace") or "corrupt payload"
                 if self.error_mode == "THROW":
                     raise ValueError(f"{url}: {err}")
                 comp = Completion("", 0, 0, error=err)
             else:
-                comp = self._complete_with_retries(frag, kind)
+                comp = complete_with_retries(
+                    self.model, frag, kind, self.max_retries, self.error_mode
+                )
             rows.append(completion_to_row(url, pid, idx, comp))
         return rows_to_table(rows, with_logprobs=self.with_logprobs)

@@ -56,32 +56,31 @@ class ShardResult:
 
 
 def _stage_stats(ds) -> dict:
-    """Compact per-operator metrics from ds.stats() (G6: run metrics come
-    from the execution engine, not wall-clock guesses): operator name →
-    {wall_s, udf_s?, rows?} parsed from the stats report."""
-    import re
+    """Compact per-operator metrics from Ray's structured stats summary
+    (G6: run metrics come from the execution engine, not wall-clock
+    guesses): ``"<n>:<operator>"`` → {wall_s, udf_total_s, rows_out},
+    operators numbered from 1 in execution order (upstream datasets
+    first). ``wall_s`` / ``udf_total_s`` sum the operator's task times.
+    A written dataset's stats live on its write dataset, as in
+    ``Dataset.stats()``."""
+    try:
+        summary = (getattr(ds, "_write_ds", None) or ds)._get_stats_summary()
+    except Exception:  # pragma: no cover - stats unavailable pre-execution
+        return {}
+
+    def operators(s) -> list:
+        return [op for p in s.parents for op in operators(p)] + list(s.operators_stats)
 
     out: dict = {}
-    try:
-        text = ds.stats()
-    except Exception:  # pragma: no cover - stats unavailable pre-execution
-        return out
-    for m in re.finditer(
-        r"Operator (\d+) ([^:]+):.*?(?=Operator \d|\Z)", text, re.S
-    ):
-        blk = m.group(0)
+    for i, op in enumerate(operators(summary), start=1):
         entry: dict = {}
-        wall = re.search(r"in ([\d.]+)s", blk.splitlines()[0])
-        if wall:
-            entry["wall_s"] = float(wall.group(1))
-        udf = re.search(r"UDF time:.*?([\d.]+)(m?s) total", blk)
-        if udf:
-            v = float(udf.group(1))
-            entry["udf_total_s"] = round(v / 1000 if udf.group(2) == "ms" else v, 3)
-        rows = re.search(r"Output num rows per block:.*?(\d+) total", blk)
-        if rows:
-            entry["rows_out"] = int(rows.group(1))
-        out[f"{m.group(1)}:{m.group(2).strip()[:60]}"] = entry
+        if op.wall_time:
+            entry["wall_s"] = round(op.wall_time["sum"], 3)
+        if op.udf_time:
+            entry["udf_total_s"] = round(op.udf_time["sum"], 3)
+        if op.output_num_rows:
+            entry["rows_out"] = int(op.output_num_rows["sum"])
+        out[f"{i}:{op.operator_name[:60]}"] = entry
     return out
 
 
