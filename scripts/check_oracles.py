@@ -5,14 +5,23 @@ side-by-side at a given sf (default 0.01) and compares row count, column
 names, and order-insensitive values (columns sorted by name, rows sorted
 by all columns). Exit code 0 iff everything matches.
 
-Usage: python scripts/check_oracles.py [sf_dir] [query ...]
+Usage: python scripts/check_oracles.py [sf_dir] [query ...] [--json PATH]
+
+``--json PATH`` writes one record per query: ``wall_s`` (the Ray side,
+plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
+``executions`` (calls of ``StreamingExecutor.execute``, which is what
+every materialize, count or pull of a lazy plan runs), ``rows`` and
+``match`` (``"match"``, ``"mismatch"`` or ``"rows-only"``).
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import logging
 import os
 import sys
+import time
 import warnings
 
 import duckdb
@@ -57,9 +66,29 @@ def compare(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> list[str]:
     return problems
 
 
+def _count_executions() -> list[int]:
+    """Count ``StreamingExecutor.execute`` calls in this process; the
+    returned one-item list holds the running total."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = [0]
+    orig = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        calls[0] += 1
+        return orig(self, *args, **kwargs)
+
+    StreamingExecutor.execute = execute
+    return calls
+
+
 def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    ap.add_argument("queries", nargs="*", help="run only these queries")
+    ap.add_argument("--json", metavar="PATH", help="write per-query records here")
+    args = ap.parse_args()
+    sf_dir, only = args.sf_dir, set(args.queries)
 
     import ray
 
@@ -82,17 +111,27 @@ def main() -> int:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{path}')")
 
     qs, oracles = e.queries(), e.oracle_sql()
+    executions = _count_executions()
     failed = []
+    records = {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
         sql = oracles.get(name)
+        before, t0 = executions[0], time.perf_counter()
         got = _to_pandas(fn(sf_dir))
+        records[name] = {
+            "wall_s": round(time.perf_counter() - t0, 3),
+            "executions": executions[0] - before,
+            "rows": len(got),
+            "match": "rows-only",
+        }
         if sql is None:
             print(f"  {name}: rows-only ({len(got)} rows)")
             continue
         exp = con.execute(sql).df()
         problems = compare(name, got, exp)
+        records[name]["match"] = "mismatch" if problems else "match"
         if problems:
             failed.append(name)
             print(f"✗ {name}:")
@@ -101,6 +140,9 @@ def main() -> int:
         else:
             print(f"✓ {name}: {len(got)} rows match")
     ray.shutdown()
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump({"sf_dir": sf_dir, "queries": records}, f, indent=1, sort_keys=True)
     if failed:
         print(f"FAILED: {failed}")
         return 1

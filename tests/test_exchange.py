@@ -1,12 +1,15 @@
 """The exchange layer (pipelines/agg.py): bucket tag, shuffle width,
-broadcast gate and the bounded per-worker cache."""
+broadcast gate and the bounded per-worker cache; and the broadcast-or-join
+``relational.lookup_join`` built on them."""
 
 import zlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
+import ray.data
 
 from zerox_ray.pipelines import agg, relational, similarity
 from zerox_ray.stages.reassemble import _cached_model
@@ -50,6 +53,12 @@ def test_shuffle_width():
     assert agg.shuffle_width(0) == 8
     assert agg.shuffle_width(10_000 * (full - 8) + 9_999) == full
     assert agg.shuffle_width(10**12) == full
+
+
+def test_coalesce_width():
+    assert agg.coalesce_width(0) == 8
+    assert agg.coalesce_width(250_000 * 5 + 1) == 13
+    assert agg.coalesce_width(10**12) == 1024
 
 
 def test_fits_broadcast_reads_the_constant_at_call_time(monkeypatch):
@@ -96,3 +105,109 @@ def test_per_batch_state_goes_through_the_bounded_cache(monkeypatch):
     model = _cached_model("deterministic", {"prior_tail_chars": 8})
     assert model in agg._WORKER_CACHE.values()
     assert len(agg._WORKER_CACHE) <= agg.WORKER_CACHE_MAX
+
+
+def _schemaless_empty() -> ray.data.Dataset:
+    """A rowless dataset with no schema (a group exchange over an empty
+    stream emits one)."""
+    return agg.bucketed_group_agg(
+        ray.data.from_pandas(pd.DataFrame({"k": [1]})).filter(lambda r: False),
+        ["k"],
+        {"n": ("k", "size")},
+    )
+
+
+def _rows(ds: ray.data.Dataset) -> tuple[list[str], list[tuple]]:
+    """Column names and the rows in a canonical order, nulls as None."""
+    df = ds.to_pandas()
+    cols = sorted(df.columns)
+    rows = [
+        tuple(None if pd.isna(v) else v for v in row)
+        for row in df[cols].astype(object).itertuples(index=False)
+    ]
+    return cols, sorted(rows, key=repr)
+
+
+class TestLookupJoin:
+    """``relational.lookup_join`` emits ``hash_join``'s rows on both of
+    its paths: the broadcast (default, every right side here is small)
+    and the partitioned join (forced by ``BROADCAST_MAX_BYTES = -1``)."""
+
+    BIG = 2**53
+    HOWS = ("inner", "left", "semi", "anti")
+
+    @staticmethod
+    def _left(keys, n_blocks=2):
+        df = pd.DataFrame({"k": keys, "a": np.arange(len(keys), dtype=np.int64)})
+        return ray.data.from_pandas(np.array_split(df, n_blocks))
+
+    def _check(self, monkeypatch, path, left, right, right_on=None):
+        """lookup_join(left, right) against hash_join on the renamed
+        right, for every supported ``how``."""
+        if path == "join":
+            monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+        renamed = right
+        if right_on is not None and right.schema() is not None:
+            renamed = relational.rename_columns(right, {right_on: "k"})
+        for how in self.HOWS:
+            got = relational.lookup_join(left, right, on="k", how=how, right_on=right_on)
+            want = relational.hash_join(left, renamed, on="k", how=how)
+            assert _rows(got) == _rows(want), how
+
+    def _int_right(self, key="k"):
+        big = self.BIG
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    key: pa.array([big + 1, 2**62 + 7, 5, big + 3, 5], pa.int64()),
+                    "v": pa.array([2**60 + 1, None, 7, 8, 2**61 + 3], pa.int64()),
+                    "s": pa.array(["p", "q", None, "r", "s"], pa.string()),
+                }
+            )
+        )
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_int64_keys_above_2_53_with_null_values(self, monkeypatch, path):
+        big = self.BIG
+        left = self._left([big + 1, big + 2, 5, 2**62 + 7, 9, big + 1])
+        self._check(monkeypatch, path, left, self._int_right())
+        # exact values above 2^53 come through the value column too
+        got = relational.lookup_join(left, self._int_right(), on="k").to_pandas()
+        assert sorted(got.loc[got["k"] == big + 1, "v"].tolist()) == [2**60 + 1] * 2
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_string_keys(self, monkeypatch, path):
+        left = ray.data.from_pandas(
+            [
+                pd.DataFrame({"k": ["h1.example", "h2.example"], "a": [1, 2]}),
+                pd.DataFrame({"k": ["ünï", "h1.example", "zz"], "a": [3, 4, 5]}),
+            ]
+        )
+        right = ray.data.from_arrow(
+            pa.table({"k": ["h1.example", "ünï", "nope"], "deg": [3, 1, 9]})
+        )
+        self._check(monkeypatch, path, left, right)
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_right_on(self, monkeypatch, path):
+        left = self._left([self.BIG + 1, 5, 6])
+        self._check(monkeypatch, path, left, self._int_right(key="v_key"), right_on="v_key")
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_right_with_a_rowless_schemaless_block(self, monkeypatch, path):
+        right = _schemaless_empty().union(self._int_right())
+        left = self._left([self.BIG + 1, 5, 6, 2**62 + 7])
+        self._check(monkeypatch, path, left, right)
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_empty_right(self, monkeypatch, path):
+        left = self._left([1, 2, 3])
+        typed = ray.data.from_arrow(
+            pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+        )
+        self._check(monkeypatch, path, left, typed)
+        self._check(monkeypatch, path, left, _schemaless_empty())
+
+    def test_rejects_right_row_emitting_joins(self):
+        with pytest.raises(ValueError, match="hash_join"):
+            relational.lookup_join(self._left([1]), self._left([1]), on="k", how="outer")

@@ -1,8 +1,8 @@
 """Test-only model providers (the engine's analogue of the reference's
 mocked OpenAIModel in node-zerox/tests/performance.test.ts:16-36).
 
-Registered as real providers so scorer ACTORS can construct them by name
-in worker processes; they exist to exercise error-row and retry semantics
+Registered as real providers so the scoring tasks can construct them by
+name in worker processes; they exist to exercise error-row and retry semantics
 deterministically.
 """
 

@@ -1,6 +1,6 @@
-"""The engine's exchange layer: the bucket tag, shuffle width,
-broadcast gate, per-worker broadcast cache and grouped exchanges the
-pipelines share.
+"""The engine's exchange layer: the bucket tag, shuffle width, loop
+coalesce width, broadcast gate, per-worker broadcast cache and grouped
+exchanges the pipelines share.
 
 Parts:
 
@@ -11,11 +11,15 @@ Parts:
   (~2 reduce waves per CPU), narrowed for small inputs so a tiny
   per-round table is not fanned into cluster-width buckets of a few
   rows each;
-- ``BROADCAST_MAX_BYTES`` / ``fits_broadcast`` — the one
-  broadcast-or-join gate: state up to 1 GiB ships once via ``ray.put``,
-  larger state goes through a partitioned hash join. The size alone
+- ``coalesce_width`` — the block count an iterative loop coalesces
+  its per-round state into;
+- ``BROADCAST_MAX_BYTES`` / ``fits_broadcast`` — the broadcast gate.
+  ``relational.lookup_join`` decides every broadcast-or-join lookup
+  with it, on the right side's materialized bytes: up to 1 GiB ships
+  once, larger goes through ``relational.hash_join``. The size alone
   picks the path; a test forces the join path by monkeypatching the
-  constant to -1;
+  constant to -1. (dedup's pair-verify stages also gate a whole-file
+  broadcast on it.)
 - ``worker_cached`` — the one per-worker cache of deserialized
   broadcast state, FIFO-capped so a long-lived worker serving many
   queries evicts instead of growing without bound;
@@ -50,8 +54,8 @@ import ray.data
 
 from zerox_ray.functions.hashing import crc32_array
 
-#: broadcast-or-join gate: state up to this many bytes ships once via
-#: ``ray.put``; above it the partitioned hash join is the path
+#: broadcast gate: state up to this many bytes ships once; above it the
+#: partitioned hash join is the path
 BROADCAST_MAX_BYTES = 1 << 30
 
 #: per-worker cache cap: each entry may hold a materialized broadcast
@@ -70,6 +74,15 @@ def shuffle_width(rows: int | None = None) -> int:
     if rows is None:
         return width
     return max(8, min(width, rows // 10_000 + 8))
+
+
+def coalesce_width(rows: int) -> int:
+    """Block count for a loop's per-round state of ``rows`` rows: one
+    block per 250k rows on top of 8, capped at 1024. A round's shuffle
+    emits as many blocks as it receives, so state fed back into the
+    next round without this coalesce doubles its block count per
+    round."""
+    return max(8, min(1024, rows // 250_000 + 8))
 
 
 def fits_broadcast(nbytes: int) -> bool:

@@ -48,7 +48,8 @@ import ray.data
 
 from zerox_ray.functions.htmlx import parse_blocks, split_html_pages
 from zerox_ray.functions.pdfx import extract_pdf_text, is_pdf_payload, split_pdf_pages
-from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map, fits_broadcast
+from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map
+from zerox_ray.pipelines.relational import lookup_join
 from zerox_ray.sources.pages import read_pages
 
 #: remove a block seen this many times corpus-wide (CCNet: any repeat)
@@ -137,12 +138,11 @@ def paragraph_dedup(
     cross-validate.
 
     Exchanges: one grouped count on the block hash + one url-keyed
-    reassembly; the duplicated-hash set reaches the blocks either as a
-    broadcast (``ray.put`` once, vectorized ``np.isin`` per batch — the
-    block TEXT then moves exactly once) or, above the size gate, via a
-    partitioned hash join (one extra text exchange). The switch is
-    ``agg.fits_broadcast`` of 8 bytes per duplicated hash (both paths
-    are output-identical and both are tested).
+    reassembly; the duplicated-hash set reaches the blocks through a
+    left ``relational.lookup_join`` on the hash — a broadcast while the
+    set fits (the block TEXT then moves exactly once), else a
+    partitioned hash join (one extra text exchange). Both paths are
+    output-identical and both are tested.
 
     Deliberate trade: the payload parse runs TWICE (once feeding the
     hash-count branch, once feeding the mark/reassemble branch) rather
@@ -181,41 +181,16 @@ def paragraph_dedup(
             {"h": out["h"], "dup": pa.array([1] * out.num_rows, pa.int64())}
         )
 
-    common = counts.map_batches(to_common, batch_format="pyarrow").materialize()
-
-    n_common = common.count()
-    if fits_broadcast(n_common * 8):
-        # broadcast path: the duplicated-hash array ships once per node;
-        # each batch marks dups with one sorted np.isin — no text moves
-        # until the reassembly exchange
-        dup_hashes = (
-            np.sort(
-                common.select_columns(["h"]).to_pandas()["h"].to_numpy(np.int64)
-            )
-            if n_common
-            else np.empty(0, np.int64)
-        )
-        dup_ref = ray.put(dup_hashes)
-
-        def mark(t: pa.Table) -> pa.Table:
-            hs = t["h"].to_numpy(zero_copy_only=False)
-            d = np.isin(hs, ray.get(dup_ref), assume_unique=False)
-            return t.drop_columns(["h"]).append_column(
-                "dup", pa.array(d.astype(np.int64))
-            )
-
-        joined = hb.map_batches(mark, batch_format="pyarrow")
-    else:
-        from zerox_ray.pipelines.relational import hash_join
-
-        # join path: unmatched blocks are the keepers (dup returns null)
-        joined = hash_join(hb, common, on="h", how="left")
+    # unmatched blocks are the keepers (dup is null)
+    joined = lookup_join(
+        hb, counts.map_batches(to_common, batch_format="pyarrow"), on="h", how="left"
+    )
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
             ["url", "page_index", "block_index"], kind="mergesort"
         )
-        dup = g["dup"].fillna(0).astype("int64") > 0
+        dup = g["dup"].notna()  # matched: 1; unmatched: null
         stats = g.groupby("url", sort=False).agg(
             n_blocks=("block", "size")
         )

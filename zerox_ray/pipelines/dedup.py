@@ -31,6 +31,7 @@ from zerox_ray.sources.tables import read_table
 from zerox_ray.pipelines.agg import (
     bucketed_group_agg,
     bucketed_group_map,
+    coalesce_width,
     fits_broadcast,
     shuffle_width,
     worker_cached,
@@ -1027,7 +1028,7 @@ def minlabel_components(
         # block count doubles every round (observed 2→1024 blocks for
         # 500 rows, per-round wall time doubling with it). ~250k rows
         # per block keeps task overhead flat at any corpus size.
-        n_parts = max(8, min(1024, n_nodes // 250_000 + 8))
+        n_parts = coalesce_width(n_nodes)
         labels = (
             bucketed_group_agg(
                 msgs, ["node"], {"label": ("label", "min")}, num_buckets=n_buckets
@@ -1311,49 +1312,25 @@ def substring_scrub(sf_dir: str, k: int = 8) -> ray.data.Dataset:
     dedup_spans' explode); exchange 1 groups by gram hash and emits ONLY
     the non-winner seeds (narrow — the corpus dup fraction); exchange 2
     folds seeds into per-doc position lists (≤1 row per affected doc).
-    The seed lists then attach to the text either by BROADCAST (below
-    the 1 GiB gate the affected-doc map ships once via ``ray.put`` and
-    the document text NEVER enters an exchange) or, above it, by the
-    partitioned doc_id hash join where text moves exactly once —
-    paragraph_dedup's size gate, both paths output-identical. No driver
-    text materialization; removal/rebuild is vectorized numpy coverage
-    masking per batch.
+    The seed lists then attach to the text through a left
+    ``relational.lookup_join`` on doc_id: a broadcast while they fit
+    (the document text NEVER enters an exchange), else the partitioned
+    join where text moves exactly once; both paths output-identical. No
+    driver text materialization; removal/rebuild is vectorized numpy
+    coverage masking per batch.
 
     Output: (doc_id, n_tokens, n_removed, text_clean), one row per
     document (docs shorter than k tokens pass through unchanged)."""
+    from zerox_ray.pipelines.relational import lookup_join
+
     docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     exploded = docs.map_batches(
         lambda df: _gram_explode(df, k), batch_format="pandas"
     )
     seeds = bucketed_group_map(exploded, "h", _gram_dup_seeds)
-    seed_lists = bucketed_group_map(
-        seeds, "doc_id", _seed_position_lists
-    ).materialize()  # ≤1 narrow row per affected doc — gate-sized below
-
-    # broadcast-vs-join gate for the seed-list attach (the
-    # paragraph_dedup idiom): when the (doc_id → positions) state fits,
-    # the seeds ship once via ray.put and the text join disappears
-    sz = seed_lists.map_batches(
-        lambda df: pd.DataFrame(
-            {"b": [int(df["positions"].str.len().sum()) + 16 * len(df)]}
-        ),
-        batch_format="pandas",
-    ).sum("b") or 0
-    if fits_broadcast(sz):
-        parts = seed_lists.to_pandas()
-        seed_ref = ray.put(dict(zip(parts["doc_id"], parts["positions"])))
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(seed_ref)
-            df = df.copy()
-            df["positions"] = [m.get(d) for d in df["doc_id"].astype("int64")]
-            return df
-
-        joined = docs.map_batches(attach, batch_format="pandas")
-    else:
-        from zerox_ray.pipelines.relational import hash_join
-
-        joined = hash_join(docs, seed_lists, on="doc_id", how="left")
+    # ≤1 narrow row per affected doc
+    seed_lists = bucketed_group_map(seeds, "doc_id", _seed_position_lists)
+    joined = lookup_join(docs, seed_lists, on="doc_id", how="left")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         out = {"doc_id": [], "n_tokens": [], "n_removed": [], "text_clean": []}

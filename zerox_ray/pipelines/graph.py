@@ -45,7 +45,7 @@ from zerox_ray.pipelines.agg import (
     bucketed_group_agg,
     bucketed_group_map,
     cached_get,
-    fits_broadcast,
+    coalesce_width,
     shuffle_width,
 )
 from zerox_ray.sources.pages import read_pages
@@ -254,10 +254,9 @@ def anchor_augment(
     exchange over O(links) short strings) LEFT-joined onto the pages
     text via the partitioned 63-bit-url-key hash join — the join moves
     each text exactly once and the anchor side is O(linked pages); at
-    the small-graph extreme the anchor rollup fits a size-gated
-    broadcast instead (the agg.fits_broadcast idiom), kept out here
-    because the general corpus has anchor mass proportional to the
-    corpus. Collision guard: the rollup side carries its url, rows are
+    the small-graph extreme the anchor rollup would fit a broadcast
+    (``relational.lookup_join``), kept out here because the general
+    corpus has anchor mass proportional to the corpus. Collision guard: the rollup side carries its url, rows are
     dropped unless the urls match (same posture as rank_curate)."""
     from zerox_ray.pipelines.relational import hash_join
 
@@ -422,7 +421,7 @@ def crawl_depth(
         # union — without a bound the block count compounds per round.
         # Sizing off last round's count is safe (frontier grows ≤ 3×
         # per hop here; the formula has 12× headroom per step).
-        n_parts = max(8, min(1024, dist.count() // 250_000 + 8))
+        n_parts = coalesce_width(dist.count())
         dist = (
             bucketed_group_agg(
                 dist.union(hops), ["k", "url"], {"depth": ("depth", "min")},
@@ -794,12 +793,10 @@ def _pagerank_state(
 
     n_nodes = nodes.count()
     n_edges = edges_deg.count()
-    n_parts = max(8, min(1024, n_nodes // 250_000 + 8))
+    n_parts = coalesce_width(n_nodes)
     n_buckets = shuffle_width(n_edges)
 
-    edges_deg = edges_deg.repartition(
-        max(8, min(1024, n_edges // 250_000 + 8))
-    ).materialize()
+    edges_deg = edges_deg.repartition(coalesce_width(n_edges)).materialize()
     zeros = (
         nodes.map_batches(
             lambda t: pa.table({"k": t["k"], "c": pa.array([0] * t.num_rows, pa.int64())}),
@@ -1067,7 +1064,7 @@ def hits(
 
     n_nodes = nodes.count()
     n_edges = ekeys.count()
-    n_parts = max(8, min(1024, n_nodes // 250_000 + 8))
+    n_parts = coalesce_width(n_nodes)
     n_buckets = shuffle_width(n_edges)
 
     def zeros_out() -> ray.data.Dataset:
@@ -1085,9 +1082,7 @@ def hits(
     if n_edges == 0:
         return zeros_out()
 
-    ekeys = ekeys.repartition(
-        max(8, min(1024, n_edges // 250_000 + 8))
-    ).materialize()
+    ekeys = ekeys.repartition(coalesce_width(n_edges)).materialize()
     hub = (
         nodes.map_batches(
             lambda t: pa.table(
@@ -1259,16 +1254,16 @@ def kcore(
     ONE (a, b)-key grouped distinct (orientation rows carry the source
     url so output needs no extra join); each round is ONE slim
     (key, degree) grouped exchange, then the survivor key set restricts
-    E — broadcast via ray.put + one shuffle-free searchsorted filter
-    when ``agg.fits_broadcast`` (8 B/node), TWO partitioned semi joins
-    above it (both paths pinned output-identical in pytest) — per-round
-    cost O(m) like PageRank, state in the object store, per-round
-    coalesce. A round that removes nothing ends the loop (every later
-    round is a no-op by definition).
+    both endpoints of E through two semi ``relational.lookup_join``
+    calls (a broadcast while the set fits, partitioned joins above it;
+    both paths pinned output-identical in pytest) — per-round cost O(m)
+    like PageRank, state in the object store, per-round coalesce. A
+    round that removes nothing ends the loop (every later round is a
+    no-op by definition).
 
     Output: (url, degree) for nodes with ≥ 1 induced edge after the
     final restriction — degree is counted in the surviving subgraph."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     raw = link_graph(ds, prefix) if edges is None else edges
@@ -1310,13 +1305,10 @@ def kcore(
         return out.astype({"degree": "int64"})
 
     # per round: ONE slim (ak, degree) exchange — the url column stays
-    # out of the loop's shuffles — then the survivor set restricts E.
-    # Survivor sets up to the triangle-census broadcast cap ship once
-    # via ray.put and filter E in one shuffle-free map (8 B/node, 64M
-    # nodes ≈ 512 MiB); above the cap, TWO partitioned semi joins do
-    # the same restriction (pinned output-identical in pytest by
-    # forcing the cap to 0). Per-round execution count is what made
-    # pagerank 9.5× faster — same lesson applied here.
+    # out of the loop's shuffles — then the survivor set restricts both
+    # endpoints of E through two semi lookup joins (broadcast or
+    # partitioned by the survivor set's size). A round that keeps every
+    # edge is the fixpoint: every further round is a no-op.
     for _ in range(rounds):
         deg = bucketed_group_agg(
             E.map_batches(deg_partial, batch_format="pandas"),
@@ -1324,75 +1316,27 @@ def kcore(
             {"degree": ("degree", "sum")},
             num_buckets=n_buckets,
         )
-        n_parts = max(8, min(1024, E.count() // 250_000 + 8))
-        if fits_broadcast(E.count() // 2 * 8):
-            deg_df = deg.to_pandas()  # ≤ cap rows by the edge bound
-            if deg_df.empty:
-                break  # E already rowless: nothing left to peel
-            surv_np = deg_df.loc[deg_df["degree"] >= k, "ak"].to_numpy(
-                np.int64
+        surv = (
+            deg.filter(expr=f"degree >= {int(k)}")
+            .select_columns(["ak"])
+            .materialize()
+        )
+        kept = (
+            lookup_join(
+                lookup_join(E, surv, on="ak", how="semi", num_buckets=n_buckets),
+                surv,
+                on="bk",
+                how="semi",
+                right_on="ak",
+                num_buckets=n_buckets,
             )
-            if len(surv_np) == len(deg_df):
-                break  # fixpoint: every further round is a no-op
-            surv_np.sort()
-            surv_ref = ray.put(surv_np)
-
-            def restrict(df: pd.DataFrame, ref=surv_ref):
-                keys = ray.get(ref)  # zero-copy plasma read per task
-                out = df.iloc[0:0]
-                if len(keys):
-                    ak = df["ak"].to_numpy(np.int64)
-                    bk = df["bk"].to_numpy(np.int64)
-                    ia = np.searchsorted(keys, ak)
-                    ib = np.searchsorted(keys, bk)
-                    m = (
-                        (ia < len(keys))
-                        & (ib < len(keys))
-                        & (keys[np.minimum(ia, len(keys) - 1)] == ak)
-                        & (keys[np.minimum(ib, len(keys) - 1)] == bk)
-                    )
-                    out = df[m]
-                if len(out) == 0:
-                    # typed empty block (the hash_join._typed_empty fix:
-                    # Ray's size estimator warns on size-0 object cols)
-                    return pa.table(
-                        {
-                            "ak": pa.array([], pa.int64()),
-                            "bk": pa.array([], pa.int64()),
-                            "a_url": pa.array([], pa.string()),
-                            "n": pa.array([], pa.int64()),
-                        }
-                    )
-                return out[["ak", "bk", "a_url", "n"]]
-
-            E = (
-                E.map_batches(restrict, batch_format="pandas")
-                .repartition(n_parts)
-                .materialize()
-            )
-        else:
-            surv = (
-                deg.filter(expr=f"degree >= {int(k)}")
-                .select_columns(["ak"])
-                .materialize()
-            )
-            if surv.count() == deg.count():
-                break
-            surv_b = surv.map_batches(
-                lambda df: df.rename(columns={"ak": "bk"}),
-                batch_format="pandas",
-            )
-            E = (
-                hash_join(
-                    hash_join(E, surv, on="ak", how="semi", num_buckets=n_buckets),
-                    surv_b,
-                    on="bk",
-                    how="semi",
-                    num_buckets=n_buckets,
-                )
-                .repartition(n_parts)
-                .materialize()
-            )
+            .repartition(coalesce_width(E.count()))
+            .materialize()
+        )
+        done = kept.count() in (0, E.count())
+        E = kept
+        if done:
+            break
 
     def deg_url_partial(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby("ak", as_index=False).agg(
@@ -2135,22 +2079,26 @@ def _pair_degrees(und: ray.data.Dataset) -> ray.data.Dataset:
     ).materialize()
 
 
-def _oriented_edges(
-    und: ray.data.Dataset, deg: ray.data.Dataset, n_nodes: int
-) -> ray.data.Dataset:
+def _attach_degrees(und: ray.data.Dataset, deg: ray.data.Dataset) -> ray.data.Dataset:
+    """Undirected (a, b) edges plus ``deg_a`` / ``deg_b`` from the
+    (v, deg) table: one ``relational.lookup_join`` per endpoint, each
+    followed by a (lazy) rename of the attached ``deg``."""
+    from zerox_ray.pipelines.relational import lookup_join, rename_columns
+
+    with_a = rename_columns(lookup_join(und, deg, on="a", right_on="v"), {"deg": "deg_a"})
+    return rename_columns(lookup_join(with_a, deg, on="b", right_on="v"), {"deg": "deg_b"})
+
+
+def _oriented_edges(und: ray.data.Dataset, deg: ray.data.Dataset) -> ray.data.Dataset:
     """Orient each undirected edge from its lower-(deg, id) endpoint —
     the degree-ORIENTED edge set (u, v, dv, tag=0) every O(m^1.5)
     triangle counter iterates, capping out-neighborhoods at O(√m).
 
-    The degree table is 16 bytes/node: below the broadcast cap it ships
-    ONCE via ray.put and orientation is a shuffle-free map (the
-    size-gated broadcast↔join switch the dedup family uses); above the
-    cap, two partitioned int-key joins attach deg_a/deg_b — same
-    output. The join branch MUST materialize (two downstream consumers
-    would otherwise re-run both O(edges) degree-attach shuffles); the
-    broadcast branch stays lazy — `und` is materialized and the orient
-    map is cheap, so re-running it once beats a materialize round."""
-    from zerox_ray.pipelines.relational import hash_join
+    The degree table attaches to both endpoints through two
+    ``relational.lookup_join`` calls (a broadcast while it fits,
+    partitioned int-key joins above it). The result is materialized:
+    two downstream consumers would otherwise re-run the attach — on the
+    join path, both O(edges) shuffles."""
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         a = df["a"].to_numpy(np.int64)
@@ -2167,31 +2115,11 @@ def _oriented_edges(
             }
         )
 
-    if fits_broadcast(n_nodes * 16):
-        deg_pd = deg.to_pandas()  # bounded by the broadcast cap (16 B/node)
-        deg_ref = ray.put(
-            dict(zip(deg_pd["v"].to_numpy(np.int64), deg_pd["deg"].to_numpy(np.int64)))
-        )
-
-        def attach_and_orient(df: pd.DataFrame) -> pd.DataFrame:
-            dm = cached_get("tri_deg", deg_ref)
-            df = df.assign(
-                deg_a=df["a"].map(dm).astype("int64"),
-                deg_b=df["b"].map(dm).astype("int64"),
-            )
-            return orient(df)
-
-        return und.map_batches(attach_and_orient, batch_format="pandas")
-    dega = deg.map_batches(
-        lambda df: df.rename(columns={"v": "a", "deg": "deg_a"}),
-        batch_format="pandas",
+    return (
+        _attach_degrees(und, deg)
+        .map_batches(orient, batch_format="pandas")
+        .materialize()
     )
-    degb = deg.map_batches(
-        lambda df: df.rename(columns={"v": "b", "deg": "deg_b"}),
-        batch_format="pandas",
-    )
-    both = hash_join(hash_join(und, dega, on="a"), degb, on="b")
-    return both.map_batches(orient, batch_format="pandas").materialize()
 
 
 def triangle_stats(
@@ -2212,8 +2140,8 @@ def triangle_stats(
     node with 10⁷ followers generates NO candidate pairs at itself.
     Candidate wedges and oriented edges meet in ONE tagged co-group on
     the wedge source; nothing quadratic in a hub's degree ever
-    materializes. Degree attachment is the size-gated broadcast↔join
-    switch (broadcast ≤ ~64M nodes ≈ 1 GiB, partitioned joins above);
+    materializes. Degree attachment is two ``relational.lookup_join``
+    calls (broadcast ≤ ~64M nodes ≈ 1 GiB, partitioned joins above);
     the node/edge/wedge census is ONE aggregate pass. The oracle replays
     the count with a plain (orientation-free) SQL triple join — the
     census is orientation-invariant."""
@@ -2256,7 +2184,7 @@ def triangle_stats(
     n_edges = int(stats["sum(ds)"]) // 2
     n_wedges = int(stats["sum(w)"])
 
-    oriented = _oriented_edges(und, deg, n_nodes)
+    oriented = _oriented_edges(und, deg)
 
     def candidates(g: pd.DataFrame) -> pd.DataFrame:
         # one lexsort for the whole bucket (u runs, each run in the SAME
@@ -2346,7 +2274,7 @@ def local_clustering(
     Scale shape: the same degree-ORIENTED O(m^1.5) machinery as
     triangle_stats (shared ``_undirected_pairs`` / ``_pair_degrees`` /
     ``_oriented_edges`` helpers — ONE pair exchange, ONE degree sum,
-    size-gated broadcast↔join orientation), but candidates CARRY their
+    lookup-join orientation), but candidates CARRY their
     wedge center so each confirmed triangle credits all three corners
     in the membership co-group; per-node counts then need only ONE
     grouped sum over O(triangles) slim credit rows plus two int-key
@@ -2368,7 +2296,7 @@ def local_clustering(
 
     und = _undirected_pairs(link_graph(ds, prefix) if edges is None else edges)
     deg = _pair_degrees(und)
-    oriented = _oriented_edges(und, deg, deg.count()).map_batches(
+    oriented = _oriented_edges(und, deg).map_batches(
         lambda df: df.assign(w=np.int64(0))[["u", "v", "dv", "tag", "w"]],
         batch_format="pandas",
     )
@@ -2495,48 +2423,13 @@ def degree_assortativity(
 
     Scale shape: distinct undirected pairs via ONE (a, b) exchange,
     degrees via ONE grouped sum (triangle_stats' front half), degree
-    attachment via the same size-gated broadcast↔join switch, then ONE
-    aggregate pass reduces everything to four scalars on the driver.
-    Honest cap: the int64 partial sums overflow when m·d_max² exceeds
-    2⁶³ (~10¹⁰ edges with 30k-degree hubs) — the upgrade path is
-    hi/lo-split accumulators through the same aggregate."""
-    from zerox_ray.pipelines.relational import hash_join
-
-    raw = link_graph(pages, prefix) if edges is None else edges
-
-    def canon(t: pa.Table) -> pa.Table:
-        s = _h63(t["src"].to_pylist())
-        d = _h63(t["dst"].to_pylist())
-        a, b = np.minimum(s, d), np.maximum(s, d)
-        m = a != b
-        df = pd.DataFrame({"a": a[m], "b": b[m]}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(
-            None
-        )
-
-    und = (
-        bucketed_group_agg(
-            raw.map_batches(canon, batch_format="pyarrow").map_batches(
-                lambda df: df.assign(n=1), batch_format="pandas"
-            ),
-            ["a", "b"],
-            {"n": ("n", "sum")},
-        )
-        .drop_columns(["n"])
-        .materialize()
-    )
-
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = pd.concat([df["a"], df["b"]]).value_counts()
-        return pd.DataFrame(
-            {"v": vc.index.to_numpy(np.int64), "deg": vc.to_numpy(np.int64)}
-        )
-
-    deg = bucketed_group_agg(
-        und.map_batches(deg_partial, batch_format="pandas"),
-        ["v"],
-        {"deg": ("deg", "sum")},
-    ).materialize()
+    attachment via the same two lookup joins, then ONE aggregate pass
+    reduces everything to four scalars on the driver. Honest cap: the
+    int64 partial sums overflow when m·d_max² exceeds 2⁶³ (~10¹⁰ edges
+    with 30k-degree hubs) — the upgrade path is hi/lo-split
+    accumulators through the same aggregate."""
+    und = _undirected_pairs(link_graph(pages, prefix) if edges is None else edges)
+    deg = _pair_degrees(und)
 
     n_nodes = deg.count()
     if n_nodes == 0:
@@ -2561,35 +2454,7 @@ def degree_assortativity(
             }
         )
 
-    if fits_broadcast(n_nodes * 16):
-        deg_pd = deg.to_pandas()  # bounded by the broadcast cap (16 B/node)
-        deg_ref = ray.put(
-            dict(zip(deg_pd["v"].to_numpy(np.int64), deg_pd["deg"].to_numpy(np.int64)))
-        )
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            dm = cached_get("assort_deg", deg_ref)
-            return moments(
-                df.assign(
-                    deg_a=df["a"].map(dm).astype("int64"),
-                    deg_b=df["b"].map(dm).astype("int64"),
-                )
-            )
-
-        parts = und.map_batches(attach, batch_format="pandas")
-    else:
-        dega = deg.map_batches(
-            lambda df: df.rename(columns={"v": "a", "deg": "deg_a"}),
-            batch_format="pandas",
-        )
-        degb = deg.map_batches(
-            lambda df: df.rename(columns={"v": "b", "deg": "deg_b"}),
-            batch_format="pandas",
-        )
-        parts = hash_join(hash_join(und, dega, on="a"), degb, on="b").map_batches(
-            moments, batch_format="pandas"
-        )
-
+    parts = _attach_degrees(und, deg).map_batches(moments, batch_format="pandas")
     s = parts.sum(["n", "sx", "sxx", "sxy"])
     n, sx = int(s["sum(n)"]), int(s["sum(sx)"])
     sxx, sxy = int(s["sum(sxx)"]), int(s["sum(sxy)"])
@@ -2634,15 +2499,15 @@ def lpa_communities(
     two compose as coarse/fine views of the same corpus).
 
     Scale shape: symmetrized distinct edges via ONE (v, u) exchange;
-    per round the O(nodes) label table attaches to the neighbor side —
-    shuffle-free via a ray.put'd sorted key/label array pair +
-    searchsorted when ``agg.fits_broadcast`` (16 B/node), ONE
-    partitioned hash join above it (both paths pinned
-    output-identical in pytest) — then per-batch partial (v, label)
-    counts and ONE v-bucketed reduce picking the argmax label; two
-    label→url back-joins finish (link_components' tail). Per-round
-    cost is O(m) rows of 24 B, state in the object store."""
-    from zerox_ray.pipelines.relational import hash_join
+    per round the O(nodes) label table attaches to the neighbor side
+    through ``relational.lookup_join`` (a broadcast while it fits, ONE
+    partitioned hash join above it; both paths pinned output-identical
+    in pytest) — then per-batch partial (v, label) counts and ONE
+    v-bucketed reduce picking the argmax label; two label→url
+    back-joins finish (link_components' tail), and linkless pages come
+    from an anti lookup join against the labeled keys. Per-round cost
+    is O(m) rows of 24 B, state in the object store."""
+    from zerox_ray.pipelines.relational import hash_join, lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     raw = link_graph(ds, prefix) if edges is None else edges
@@ -2696,12 +2561,11 @@ def lpa_communities(
         ["v"],
         {"lab": ("lab", "max")},
     ).materialize()
-    n_nodes = labels.count()
 
     # size-aware widths, the pagerank lesson: don't fan tiny per-round
     # tables into cluster-width buckets
     n_buckets = shuffle_width(E.count())
-    n_parts = max(8, min(1024, E.count() // 250_000 + 8))
+    n_parts = coalesce_width(E.count())
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(["v", "lab"], as_index=False).size()
@@ -2719,29 +2583,9 @@ def lpa_communities(
         )
 
     for _ in range(rounds):
-        if fits_broadcast(n_nodes * 16):
-            lab_pd = labels.to_pandas()  # ≤ cap rows (16 B/node)
-            keys = lab_pd["v"].to_numpy(np.int64)
-            order = np.argsort(keys, kind="stable")
-            keys_ref = ray.put(keys[order])
-            labs_ref = ray.put(lab_pd["lab"].to_numpy(np.int64)[order])
-
-            def attach(df: pd.DataFrame, kr=keys_ref, lr=labs_ref):
-                keys = ray.get(kr)  # zero-copy plasma reads per task
-                labs = ray.get(lr)
-                iu = np.searchsorted(keys, df["u"].to_numpy(np.int64))
-                return count_partial(
-                    pd.DataFrame({"v": df["v"], "lab": labs[iu]})
-                )
-
-            parts = E.map_batches(attach, batch_format="pandas")
-        else:
-            lu = labels.map_batches(
-                lambda df: df.rename(columns={"v": "u"}), batch_format="pandas"
-            )
-            parts = hash_join(E, lu, on="u", num_buckets=n_buckets).map_batches(
-                count_partial, batch_format="pandas"
-            )
+        parts = lookup_join(
+            E, labels, on="u", right_on="v", num_buckets=n_buckets
+        ).map_batches(count_partial, batch_format="pandas")
         labels = (
             bucketed_group_map(parts, "v", pick, num_buckets=n_buckets)
             .repartition(n_parts)
@@ -2764,33 +2608,11 @@ def lpa_communities(
         num_buckets=n_buckets,
     ).select_columns(["url", "community"])
 
-    # linkless pages are their own community: anti-join via the labeled
-    # key set (O(nodes) — same broadcast gate as the rounds)
-    if fits_broadcast(n_nodes * 8):
-        lab_keys = np.sort(labels.select_columns(["v"]).to_pandas()["v"].to_numpy(np.int64))
-        lk_ref = ray.put(lab_keys)
-
-        def lonely(df: pd.DataFrame, ref=lk_ref):
-            keys = ray.get(ref)
-            nk = df["nk"].to_numpy(np.int64)
-            i = np.searchsorted(keys, nk)
-            hit = (i < len(keys)) & (keys[np.minimum(i, len(keys) - 1)] == nk)
-            out = df.loc[~hit, ["url"]]
-            return pa.table(
-                {
-                    "url": pa.array(out["url"].astype(str).tolist(), pa.string()),
-                    "community": pa.array(out["url"].astype(str).tolist(), pa.string()),
-                }
-            )
-
-        rest = slim.map_batches(lonely, batch_format="pandas")
-    else:
-        lv = labels.map_batches(
-            lambda df: pd.DataFrame({"nk": df["v"]}), batch_format="pandas"
-        )
-        rest = hash_join(
-            slim, lv, on="nk", how="anti", num_buckets=n_buckets
-        ).map_batches(own, batch_format="pyarrow")
+    # linkless pages are their own community: anti-join against the
+    # labeled key set
+    rest = lookup_join(
+        slim, labels, on="nk", how="anti", right_on="v", num_buckets=n_buckets
+    ).map_batches(own, batch_format="pyarrow")
     return resolved.union(rest)
 
 
@@ -2823,12 +2645,12 @@ def bowtie_census(
     and (column-swapped) the backward BFS (each a ``crawl_depth`` run:
     per round ONE partitioned hash join + ONE grouped min). Seed pick =
     per-batch top-1 partials over the inlink rollup (≤1 row per block
-    reaches the driver). The CORE intersection ships the forward key
-    set via ray.put + searchsorted membership partials under
-    ``agg.fits_broadcast`` (8 B/node), ONE semi hash-join count above it
-    (paths pinned identical in pytest); everything else is dataset
+    reaches the driver). The CORE intersection is the count of a semi
+    ``relational.lookup_join`` of the backward keys against the forward
+    key set (a broadcast while it fits, ONE partitioned join above it;
+    paths pinned identical in pytest); everything else is dataset
     counts — four scalars on the driver."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     E = (link_graph(ds, prefix) if edges is None else edges).materialize()
@@ -2878,34 +2700,12 @@ def bowtie_census(
     bw = crawl_depth(ds, [seed], max_hops, prefix, edges=E_rev).materialize()
     n_f, n_b = fw.count(), bw.count()
 
-    fkeys = fw.map_batches(
-        lambda t: pa.table(
-            {"fk": pa.array(_h63(t["url"].to_pylist()), pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
-    bkeys = bw.map_batches(
-        lambda t: pa.table(
-            {"fk": pa.array(_h63(t["url"].to_pylist()), pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
-    if fits_broadcast(n_f * 8):
-        fk = np.sort(fkeys.to_pandas()["fk"].to_numpy(np.int64))
-        fk_ref = ray.put(fk)
+    def url_keys(t: pa.Table) -> pa.Table:
+        return pa.table({"fk": pa.array(_h63(t["url"].to_pylist()), pa.int64())})
 
-        def member(df: pd.DataFrame, ref=fk_ref) -> pd.DataFrame:
-            keys = ray.get(ref)  # zero-copy plasma read per task
-            bk = df["fk"].to_numpy(np.int64)
-            i = np.searchsorted(keys, bk)
-            hit = (i < len(keys)) & (keys[np.minimum(i, len(keys) - 1)] == bk)
-            return pd.DataFrame({"n": [np.int64(hit.sum())]})
-
-        core = int(
-            bkeys.map_batches(member, batch_format="pandas").sum("n") or 0
-        )
-    else:
-        core = hash_join(bkeys, fkeys, on="fk", how="semi").count()
+    fkeys = fw.map_batches(url_keys, batch_format="pyarrow")
+    bkeys = bw.map_batches(url_keys, batch_format="pyarrow")
+    core = lookup_join(bkeys, fkeys, on="fk", how="semi").count()
     return one_row(seed, core, n_b - core, n_f - core)
 
 
@@ -3040,13 +2840,12 @@ def mirror_hosts(
     the coupling_counts shape (coarse-bucket groupby(dst), per-target
     sorted-unique linkers capped at ``max_citers`` emit C(k, 2) pairs
     inside the reduce task, ONE pair-key grouped sum); degree
-    attachment via the size-gated broadcast↔join switch
-    (``agg.fits_broadcast`` at 16 B/host, 23 hosts here / ~10⁸ at web
-    scale — either side of the gate works and pytest pins the paths
-    identical).
+    attachment via one ``relational.lookup_join`` per pair side on the
+    host string (a broadcast at 23 hosts here, partitioned joins at the
+    ~10⁸ of web scale; pytest pins the paths identical).
     Output: (host_a, host_b, n_common, deg_a, deg_b, jaccard_ppm) with
     host_a < host_b."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join, rename_columns
 
     he = host_edges(pages, prefix)
 
@@ -3113,8 +2912,7 @@ def mirror_hosts(
         )
         return out.loc[out["jaccard_ppm"] >= int(min_jaccard_ppm)]
 
-    n_hosts = deg.count()
-    if n_hosts == 0:
+    if deg.count() == 0:
         empty = pa.table(
             {
                 "host_a": pa.array([], pa.string()),
@@ -3126,53 +2924,12 @@ def mirror_hosts(
             }
         )
         return ray.data.from_arrow(empty)
-    if fits_broadcast(n_hosts * 16):
-        deg_pd = deg.to_pandas()  # bounded by the broadcast gate
-        deg_ref = ray.put(dict(zip(deg_pd["host"], deg_pd["deg"].to_numpy(np.int64))))
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            dm = cached_get("mirror_deg", deg_ref)
-            return finish(
-                df.assign(
-                    deg_a=df["host_a"].map(dm).astype("int64"),
-                    deg_b=df["host_b"].map(dm).astype("int64"),
-                )
-            )
-
-        return common.map_batches(attach, batch_format="pandas")
-
-    # join path: 63-bit host keys + string-equality collision guard
-    def key_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            ka=_h63(df["host_a"].tolist()), kb=_h63(df["host_b"].tolist())
-        )
-
-    def key_deg(side: str):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    f"k{side}": _h63(df["host"].tolist()),
-                    f"host_{side}_r": df["host"].astype(object),
-                    f"deg_{side}": df["deg"].astype("int64"),
-                }
-            )
-
-        return f
-
-    j = hash_join(
-        common.map_batches(key_pairs, batch_format="pandas"),
-        deg.map_batches(key_deg("a"), batch_format="pandas"),
-        on="ka",
+    with_a = rename_columns(
+        lookup_join(common, deg, on="host_a", right_on="host"), {"deg": "deg_a"}
     )
-    j = hash_join(j, deg.map_batches(key_deg("b"), batch_format="pandas"), on="kb")
-    return j.map_batches(
-        lambda df: finish(
-            df.loc[
-                (df["host_a"] == df["host_a_r"]) & (df["host_b"] == df["host_b_r"])
-            ]
-        ),
-        batch_format="pandas",
-    )
+    return rename_columns(
+        lookup_join(with_a, deg, on="host_b", right_on="host"), {"deg": "deg_b"}
+    ).map_batches(finish, batch_format="pandas")
 
 
 # --- robots.txt exclusion filter (the politeness family's fetch gate) ----------

@@ -475,18 +475,16 @@ def run_ocr_incremental(
     restricted to the re-extracted urls.
 
     Scale shape: ``snapshot_delta`` already moves no payloads (md5/crc
-    partials only); the re-extract url set ships as a broadcast of
-    sorted 63-bit keys when it fits the 1 GiB gate (8 bytes per CHANGED
-    url — the minority in a low-churn recrawl, which is exactly when
-    incremental extraction pays). Above the gate, fall back to a
-    url-keyed hash semi-join of the collapsed pages against the changed
-    set — one payload exchange, still strictly cheaper than extracting
-    the unchanged majority. ``agg.fits_broadcast`` picks the path (both
-    output-identical, both tested)."""
-    import numpy as np
-
-    from zerox_ray.pipelines.agg import fits_broadcast
+    partials only); the collapsed pages keep the changed urls through a
+    semi ``relational.lookup_join`` on 63-bit url keys. While the
+    changed set fits the broadcast gate (the CHANGED urls are the
+    minority in a low-churn recrawl, which is exactly when incremental
+    extraction pays) no payload enters an exchange; above it the
+    partitioned semi-join moves the payloads once, still strictly
+    cheaper than extracting the unchanged majority. Both paths are
+    output-identical and tested."""
     from zerox_ray.pipelines.graph import _h63
+    from zerox_ray.pipelines.relational import lookup_join
     from zerox_ray.sources.pages import read_pages, snapshot_delta
 
     delta = snapshot_delta(path)
@@ -499,28 +497,10 @@ def run_ocr_incremental(
             {"k": pa.array(_h63(keep["url"].to_pylist()), pa.int64())}
         )
 
-    changed = delta.map_batches(changed_keys, batch_format="pyarrow").materialize()
-    pages = read_pages(path, latest_snapshot_only=True)
-
-    if fits_broadcast(changed.count() * 8):
-        keys = np.sort(changed.to_pandas()["k"].to_numpy(np.int64))
-        keys_ref = ray.put(keys)
-
-        def keep_changed(t: pa.Table) -> pa.Table:
-            ks = _h63(t["url"].to_pylist())
-            return t.filter(
-                pa.array(np.isin(ks, ray.get(keys_ref)))
-            )
-
-        todo = pages.map_batches(keep_changed, batch_format="pyarrow")
-    else:
-        from zerox_ray.pipelines.relational import hash_join
-
-        keyed = pages.map_batches(
-            lambda t: t.append_column(
-                "k", pa.array(_h63(t["url"].to_pylist()), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-        todo = hash_join(keyed, changed, on="k", how="semi").drop_columns(["k"])
+    changed = delta.map_batches(changed_keys, batch_format="pyarrow")
+    keyed = read_pages(path, latest_snapshot_only=True).map_batches(
+        lambda t: t.append_column("k", pa.array(_h63(t["url"].to_pylist()), pa.int64())),
+        batch_format="pyarrow",
+    )
+    todo = lookup_join(keyed, changed, on="k", how="semi").drop_columns(["k"])
     return run_ocr(todo, cfg)

@@ -1,7 +1,7 @@
 """Relational operators the engine adds beyond the reference (which has
 no joins at all — SURVEY §2.5): broadcast-dimension enrichment, an
-explicit partitioned hash join, an as-of (time-travel) join, and
-session windows over the events stream.
+explicit partitioned hash join, the broadcast-or-join lookup join, an
+as-of (time-travel) join, and session windows over the events stream.
 
 Scale design:
 - **Broadcast join** (`orders_by_nation`): the small side (customer →
@@ -13,6 +13,11 @@ Scale design:
   bucket; a pandas merge inside the group does the actual join. This is
   the guide's explicit partitioned-join shape — portable across shuffle
   strategies and transparent about its single all-to-all.
+- **Lookup join** (`lookup_join`): a keyed table attached to another
+  side (inner/left/semi/anti). The table is materialized; while its
+  bytes fit ``agg.fits_broadcast`` its blocks ship once and every
+  other-side batch merges in place, else it is ``hash_join``. Both
+  paths run the same per-partition merge (``_merge_kernel``).
 - **As-of join** (`asof_purchase_view`): per-key ordered semantics →
   groupby(user) + in-group sort + vectorized ``searchsorted`` (no
   global sort). Concurrency comes from many users; a hot key only slows
@@ -26,14 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from zerox_ray.sources.tables import read_table
 from zerox_ray.pipelines.agg import (
     _bucket_ids,
     bucketed_group_agg,
+    fits_broadcast,
     shuffle_width,
     worker_cached,
 )
@@ -111,86 +120,53 @@ def orders_by_nation(sf_dir: str) -> ray.data.Dataset:
 # --- explicit partitioned hash join ------------------------------------------
 
 
-def hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    num_buckets: int | None = None,
-    how: str = "inner",
-    salt: int = 1,
-) -> ray.data.Dataset:
-    """Partitioned hash join of two Datasets on an int64 key.
+def _is_int(typ) -> bool:
+    try:
+        return pa.types.is_integer(typ)
+    except (AttributeError, TypeError):
+        # pandas-block schemas carry numpy dtypes / python types
+        return str(typ).startswith(("int", "uint"))
 
-    bucket(key) (``agg._bucket_ids``) is added to both sides; a tagged
-    union + ONE groupby co-locates buckets; pandas merges within each
-    bucket. The bucket count defaults to ``agg.shuffle_width()``, the
-    cluster width.
 
-    ``salt > 1`` is the hot-key lever: LEFT rows spread across ``salt``
-    sub-buckets per key (round-robin — join output is order-insensitive,
-    so the spread needs no stable hash), RIGHT rows replicate into every
-    sub-bucket. A key carrying 10% of the left side then costs ~10%/salt
-    per task instead of one straggler task. Use when the left side is
-    the big, skewed one (fact table) and right is moderate."""
-    if salt > 1 and how not in ("inner", "semi", "anti"):
-        raise ValueError(
-            "salt > 1 requires how='inner'/'semi'/'anti': replicated right "
-            "rows would emit phantom unmatched rows under outer/right joins"
-        )
+def _kernel_frame(t: pa.Table) -> pd.DataFrame:
+    """A join side as the merge kernel reads it: Ray's Arrow → pandas
+    conversion, except that an integer column holding nulls becomes
+    pandas nullable Int64 / UInt64 instead of float64, which would round
+    values above 2^53."""
+    df = BlockAccessor.for_block(t).to_pandas()
+    for c, col in zip(t.column_names, t.columns):
+        if pa.types.is_integer(col.type) and col.null_count:
+            signed = pa.types.is_signed_integer(col.type)
+            nullable = pd.Int64Dtype() if signed else pd.UInt64Dtype()
+            df[c] = col.to_pandas(types_mapper=lambda _: nullable)
+    return df
 
-    # capture per-side schemas up front: union() aligns schemas by
-    # null-filling, so each side must re-select only its own columns
-    # inside the merge — and null-filling upcasts ints to float in
-    # pandas, so original integer dtypes are restored post-merge
-    import pyarrow as _pa
 
-    def _is_int(typ) -> bool:
-        try:
-            return _pa.types.is_integer(typ)
-        except (AttributeError, TypeError):
-            # pandas-block schemas carry numpy dtypes / python types
-            return str(typ).startswith(("int", "uint"))
+def _right_side(r: pa.Table, on: str, how: str):
+    """The right rows as ``_merge_kernel``'s ``merge`` reads them: the
+    key array for an existence join (semi/anti), else a pandas frame."""
+    return r[on].combine_chunks() if how in ("semi", "anti") else _kernel_frame(r)
 
-    if num_buckets is None:
-        num_buckets = shuffle_width()
-    lschema, rschema = left.schema(), right.schema()
-    # a rowless side can surface with NO schema at all (e.g. a groupby
-    # over an empty stream) — resolve the join semantically instead of
-    # crashing on schema introspection
-    if lschema is None:
-        if how in ("inner", "left", "semi", "anti"):
-            return left  # empty in every left-row-emitting mode
-        raise ValueError(
-            "hash_join: left side is empty with unknown schema; "
-            f"how={how!r} needs its columns — guard or materialize upstream"
-        )
-    if rschema is None:
-        if how in ("inner", "semi"):
-            return left.limit(0)  # keeps the left schema, zero rows
-        if how in ("anti", "left"):
-            # anti: nothing to subtract. left: the semantically correct
-            # result is every left row with null right columns — but the
-            # right columns are UNKNOWABLE here, so return left unchanged;
-            # callers' downstream fillna/column-adds handle the absence
-            # (link_components' early return relies on exactly this shape)
-            return left
-        raise ValueError(
-            "hash_join: right side is empty with unknown schema; "
-            f"how={how!r} needs its columns — guard or materialize upstream"
-        )
+
+def _merge_kernel(lschema, rschema, on: str, how: str):
+    """The per-partition join that ``hash_join`` runs per bucket and
+    ``lookup_join`` per left batch, so both paths emit the same rows.
+
+    Returns ``merge(l, r)``: ``l`` is Arrow rows of the left side,
+    ``r`` the right rows through ``_right_side`` (column sets as in
+    ``lschema`` / ``rschema``, Ray or Arrow schemas). semi/anti filter
+    ``l`` in Arrow, so the left rows keep their types. The other joins
+    merge in pandas: integer columns come back with their source side's
+    dtype, and one that picked up nulls (unmatched rows of a left/outer
+    join) becomes pandas nullable Int64 instead of float64. An empty
+    result is a typed Arrow block."""
     lcols, rcols = list(lschema.names), list(rschema.names)
-    lints = {
-        n: str(t) for n, t in zip(lschema.names, lschema.types) if _is_int(t)
-    }
-    rints = {
-        n: str(t) for n, t in zip(rschema.names, rschema.types) if _is_int(t)
-    }
+    lints = {n: str(t) for n, t in zip(lschema.names, lschema.types) if _is_int(t)}
+    rints = {n: str(t) for n, t in zip(rschema.names, rschema.types) if _is_int(t)}
 
     def _restore_int_dtypes(out: pd.DataFrame) -> pd.DataFrame:
-        """Post-merge integer restore: map merge-suffixed _x/_y columns
-        back to their source side's dtype; columns that picked up NaN
-        (left/outer unmatched rows) become pandas nullable Int64 instead
-        of silently staying float64."""
+        """Map merge-suffixed _x/_y columns back to their source side's
+        dtype; a column holding NaN gets nullable Int64."""
         for c in out.columns:
             if c.endswith("_x") and c[:-2] in lints:
                 want = lints[c[:-2]]
@@ -206,78 +182,6 @@ def hash_join(
                 continue
             out[c] = out[c].astype("Int64" if out[c].isna().any() else want)
         return out
-
-    # Arrow-native tag stages: these run over the FULL table on both
-    # sides, so forcing a pandas conversion here was the join's biggest
-    # per-batch tax (strings/lists objectify). The batch stays zero-copy;
-    # only the int key column is touched (numpy), plus two appended
-    # columns. The per-bucket merge below stays pandas — pd.merge IS the
-    # kernel there.
-    #
-    # INT64-PRECISION GUARD: each side is padded with the OTHER side's
-    # missing columns at tag time, integers as typed ZEROS (never
-    # nulls). Without the padding the shuffle null-fills them, and a
-    # pandas block mixing null-filled and real rows upcasts the whole
-    # int column to float64 — silently rounding values above 2^53
-    # (observed: 63-bit md5 url keys in graph.link_components losing
-    # low bits, 11 of 1338 edges surviving a chained join). The padded
-    # values are never read — merge() re-selects each side's own
-    # columns — so zeros are safe; non-integer pads stay null.
-    def _pad_missing(t: _pa.Table, missing: list[tuple[str, object]]) -> _pa.Table:
-        n = t.num_rows
-        for name, typ in missing:
-            if _is_int(typ):
-                try:
-                    arr = _pa.array(np.zeros(n, dtype=str(typ)))
-                except TypeError:
-                    arr = _pa.array(np.zeros(n, dtype=np.int64))
-            else:
-                try:
-                    at = typ if isinstance(typ, _pa.DataType) else _pa.from_numpy_dtype(typ)
-                    arr = _pa.nulls(n, at)
-                except (TypeError, _pa.ArrowNotImplementedError):
-                    arr = _pa.nulls(n)
-            t = t.append_column(name, arr)
-        return t
-
-    l_missing = [
-        (c, t) for c, t in zip(rschema.names, rschema.types) if c not in lcols
-    ]
-    r_missing = [
-        (c, t) for c, t in zip(lschema.names, lschema.types) if c not in rcols
-    ]
-    #: one canonical column order so every tagged block shares a schema
-    _order = list(dict.fromkeys(lcols + rcols)) + ["__bucket", "__side"]
-
-    def tag_left(t: _pa.Table) -> _pa.Table:
-        n = t.num_rows
-        sub = np.arange(n, dtype=np.int64) % salt
-        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
-        t = t.append_column(
-            "__bucket", _pa.array(bucket, _pa.int64())
-        ).append_column("__side", _pa.array(["L"] * n, _pa.string()))
-        # strip pandas metadata: blocks that arrived from a pandas stage
-        # carry an unhashable schema-metadata dict, which breaks Ray's
-        # shuffle schema dedup (one warning per reduce concat) and ships
-        # redundant schema bytes per block
-        return _pad_missing(t, l_missing).select(_order).replace_schema_metadata(None)
-
-    def tag_right(t: _pa.Table) -> _pa.Table:
-        n = t.num_rows
-        if salt > 1:  # replicate into every sub-bucket
-            t = t.take(_pa.array(np.repeat(np.arange(n, dtype=np.int64), salt)))
-            sub = np.tile(np.arange(salt, dtype=np.int64), n)
-        else:
-            sub = np.zeros(n, dtype=np.int64)
-        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
-        t = t.append_column(
-            "__bucket", _pa.array(bucket, _pa.int64())
-        ).append_column("__side", _pa.array(["R"] * t.num_rows, _pa.string()))
-        return _pad_missing(t, r_missing).select(_order).replace_schema_metadata(None)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-    both = lt.union(rt)
 
     def _arrow_type_of(c: str):
         """Resolve an output column's Arrow type from the side schemas
@@ -295,18 +199,18 @@ def hash_join(
             if base not in names:
                 continue
             t = sch.types[names.index(base)]
-            if isinstance(t, _pa.DataType):
+            if isinstance(t, pa.DataType):
                 return t
             try:  # pandas-block schema: numpy dtypes; object ⇒ unknown
-                return None if str(t) == "object" else _pa.from_numpy_dtype(t)
-            except (TypeError, _pa.ArrowNotImplementedError):
+                return None if str(t) == "object" else pa.from_numpy_dtype(t)
+            except (TypeError, pa.ArrowNotImplementedError):
                 return None
         return None
 
     def _typed_empty(out: pd.DataFrame):
         """Empty merge results keep object-dtype columns, which Ray's
         pandas block size estimator warns on at size 0 (np.vectorize on
-        an empty sample) — one stderr line per empty bucket. Emit a
+        an empty sample) — one stderr line per empty partition. Emit a
         TYPED empty Arrow block instead, with types taken from the join
         sides' own schemas so it unifies with the non-empty blocks."""
         if len(out):
@@ -314,37 +218,249 @@ def hash_join(
         types = {c: _arrow_type_of(c) for c in out.columns}
         if any(t is None for t in types.values()):
             return out  # unknown column type somewhere — keep pandas
-        return _pa.table({c: _pa.array([], t) for c, t in types.items()})
+        return pa.table({c: pa.array([], t) for c, t in types.items()})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # a bucket whose rows all come from one side may arrive without
-        # the other side's columns (schema alignment is per block, not
-        # guaranteed per group) — reindex so both slices always exist
-        want = list(dict.fromkeys(lcols + rcols + ["__bucket", "__side"]))
-        g = g.reindex(columns=want)
-        l = g.loc[g["__side"] == "L", lcols]
-        r = g.loc[g["__side"] == "R", rcols]
+    def merge(l: pa.Table, r):
         if how in ("semi", "anti"):
             # existence filter, not a merge: only left columns survive.
             # Correct under salt>1 because right rows replicate into
             # every sub-bucket, so per-sub-bucket membership is exact.
-            present = l[on].isin(pd.unique(r[on])) if len(r) else pd.Series(
-                False, index=l.index
-            )
-            out = l.loc[present if how == "semi" else ~present]
-            return _typed_empty(_restore_int_dtypes(out.reset_index(drop=True)))
-        # same 2^53 guard INSIDE pd.merge: a left/outer merge introduces
-        # NaN into the nullable side's int columns, upcasting them to
-        # float64 mid-merge (before _restore_int_dtypes can help). A
-        # pre-cast to pandas nullable Int64 keeps the merge exact.
+            present = pc.is_in(l[on], value_set=r.cast(l.schema.field(on).type))
+            return l.filter(present if how == "semi" else pc.invert(present))
+        l = _kernel_frame(l)
+        # a left/outer merge introduces NaN into the nullable side's int
+        # columns, upcasting them to float64 mid-merge (before
+        # _restore_int_dtypes can help) and rounding values above 2^53.
+        # A pre-cast to pandas nullable Int64 keeps the merge exact.
         if how in ("left", "outer"):
             r = r.astype({c: "Int64" for c in rints if c in r.columns and c != on})
         if how in ("right", "outer"):
             l = l.astype({c: "Int64" for c in lints if c in l.columns and c != on})
-        out = l.merge(r, on=on, how=how)
-        return _typed_empty(_restore_int_dtypes(out))
+        return _typed_empty(_restore_int_dtypes(l.merge(r, on=on, how=how)))
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return merge
+
+
+def hash_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    on: str,
+    num_buckets: int | None = None,
+    how: str = "inner",
+    salt: int = 1,
+) -> ray.data.Dataset:
+    """Partitioned hash join of two Datasets on an integer or string key.
+
+    bucket(key) (``agg._bucket_ids``: ``key % B`` for integers,
+    ``crc32(text) % B`` otherwise) is added to both sides; a tagged
+    union + ONE groupby co-locates buckets; ``_merge_kernel`` joins
+    within each bucket. The bucket count defaults to
+    ``agg.shuffle_width()``, the cluster width.
+
+    ``salt > 1`` is the hot-key lever: LEFT rows spread across ``salt``
+    sub-buckets per key (round-robin — join output is order-insensitive,
+    so the spread needs no stable hash), RIGHT rows replicate into every
+    sub-bucket. A key carrying 10% of the left side then costs ~10%/salt
+    per task instead of one straggler task. Use when the left side is
+    the big, skewed one (fact table) and right is moderate."""
+    if salt > 1 and how not in ("inner", "semi", "anti"):
+        raise ValueError(
+            "salt > 1 requires how='inner'/'semi'/'anti': replicated right "
+            "rows would emit phantom unmatched rows under outer/right joins"
+        )
+    if num_buckets is None:
+        num_buckets = shuffle_width()
+
+    # a rowless side can surface with NO schema at all (e.g. a groupby
+    # over an empty stream) — resolve the join semantically instead of
+    # crashing on schema introspection. The right side is checked first:
+    # ``left.schema()`` of a lazy left runs part of its plan.
+    rschema = right.schema()
+    if rschema is None:
+        if how in ("inner", "semi"):
+            return left.limit(0)  # keeps the left schema, zero rows
+        if how in ("anti", "left"):
+            # anti: nothing to subtract. left: the semantically correct
+            # result is every left row with null right columns — but the
+            # right columns are UNKNOWABLE here, so return left unchanged;
+            # callers' downstream fillna/column-adds handle the absence
+            # (link_components' early return relies on exactly this shape)
+            return left
+        raise ValueError(
+            "hash_join: right side is empty with unknown schema; "
+            f"how={how!r} needs its columns — guard or materialize upstream"
+        )
+    lschema = left.schema()
+    if lschema is None:
+        if how in ("inner", "left", "semi", "anti"):
+            return left  # empty in every left-row-emitting mode
+        raise ValueError(
+            "hash_join: left side is empty with unknown schema; "
+            f"how={how!r} needs its columns — guard or materialize upstream"
+        )
+    # union() aligns schemas by null-filling, so each side re-selects
+    # only its own columns inside the merge
+    lcols, rcols = list(lschema.names), list(rschema.names)
+    kernel = _merge_kernel(lschema, rschema, on, how)
+
+    # Arrow-native tag stages: these run over the FULL table on both
+    # sides, so forcing a pandas conversion here was the join's biggest
+    # per-batch tax (strings/lists objectify). The batch stays zero-copy;
+    # only the key column is touched, plus two appended columns. The
+    # per-bucket merge below stays pandas — pd.merge IS the kernel there.
+    #
+    # INT64-PRECISION GUARD: each side is padded with the OTHER side's
+    # missing columns at tag time, integers as typed ZEROS (never
+    # nulls). Without the padding the shuffle null-fills them, and a
+    # pandas block mixing null-filled and real rows upcasts the whole
+    # int column to float64 — silently rounding values above 2^53
+    # (observed: 63-bit md5 url keys in graph.link_components losing
+    # low bits, 11 of 1338 edges surviving a chained join). The padded
+    # values are never read — merge() re-selects each side's own
+    # columns — so zeros are safe; non-integer pads stay null.
+    def _pad_missing(t: pa.Table, missing: list[tuple[str, object]]) -> pa.Table:
+        n = t.num_rows
+        for name, typ in missing:
+            if _is_int(typ):
+                try:
+                    arr = pa.array(np.zeros(n, dtype=str(typ)))
+                except TypeError:
+                    arr = pa.array(np.zeros(n, dtype=np.int64))
+            else:
+                try:
+                    at = typ if isinstance(typ, pa.DataType) else pa.from_numpy_dtype(typ)
+                    arr = pa.nulls(n, at)
+                except (TypeError, pa.ArrowNotImplementedError):
+                    arr = pa.nulls(n)
+            t = t.append_column(name, arr)
+        return t
+
+    l_missing = [
+        (c, t) for c, t in zip(rschema.names, rschema.types) if c not in lcols
+    ]
+    r_missing = [
+        (c, t) for c, t in zip(lschema.names, lschema.types) if c not in rcols
+    ]
+    #: one canonical column order so every tagged block shares a schema
+    _order = list(dict.fromkeys(lcols + rcols)) + ["__bucket", "__side"]
+
+    def tag_left(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        sub = np.arange(n, dtype=np.int64) % salt
+        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
+        t = t.append_column(
+            "__bucket", pa.array(bucket, pa.int64())
+        ).append_column("__side", pa.array(["L"] * n, pa.string()))
+        # strip pandas metadata: blocks that arrived from a pandas stage
+        # carry an unhashable schema-metadata dict, which breaks Ray's
+        # shuffle schema dedup (one warning per reduce concat) and ships
+        # redundant schema bytes per block
+        return _pad_missing(t, l_missing).select(_order).replace_schema_metadata(None)
+
+    def tag_right(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        if salt > 1:  # replicate into every sub-bucket
+            t = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64), salt)))
+            sub = np.tile(np.arange(salt, dtype=np.int64), n)
+        else:
+            sub = np.zeros(n, dtype=np.int64)
+        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
+        t = t.append_column(
+            "__bucket", pa.array(bucket, pa.int64())
+        ).append_column("__side", pa.array(["R"] * t.num_rows, pa.string()))
+        return _pad_missing(t, r_missing).select(_order).replace_schema_metadata(None)
+
+    lt = left.map_batches(tag_left, batch_format="pyarrow")
+    rt = right.map_batches(tag_right, batch_format="pyarrow")
+
+    def merge(t: pa.Table):
+        # a bucket whose rows all come from one side may arrive without
+        # the other side's columns (schema alignment is per block, not
+        # guaranteed per group) — add them so both slices always exist
+        for c in _order:
+            if c not in t.column_names:
+                t = t.append_column(c, pa.nulls(t.num_rows))
+        is_left = pc.equal(t["__side"], "L")
+        l = t.filter(is_left).select(lcols)
+        r = t.filter(pc.invert(is_left)).select(rcols)
+        return kernel(l, _right_side(r, on, how))
+
+    return lt.union(rt).groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+
+
+def rename_columns(ds: ray.data.Dataset, names: dict[str, str]) -> ray.data.Dataset:
+    """``ds`` with columns renamed by ``names``, as a lazy per-block map
+    in the block's own format (Ray 2.49's ``Dataset.rename_columns``
+    fails on pandas blocks, which pandas stages emit)."""
+
+    def rename(b):
+        if isinstance(b, pd.DataFrame):
+            return b.rename(columns=names)
+        return b.rename_columns([names.get(c, c) for c in b.column_names])
+
+    return ds.map_batches(rename, batch_format=None)
+
+
+def lookup_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    on: str,
+    how: str = "inner",
+    right_on: str | None = None,
+    num_buckets: int | None = None,
+) -> ray.data.Dataset:
+    """Join ``left`` against the keyed table ``right`` (inner, left,
+    semi or anti), by broadcast when ``right`` is small and by
+    ``hash_join`` otherwise. ``right_on`` names right's key column when
+    it is not ``on``; the output carries it as ``on``.
+
+    ``right`` is materialized, and its bytes come from Ray's block
+    metadata (no extra pass). When ``agg.fits_broadcast`` of them holds,
+    the right blocks ship once — each worker fetches and concatenates
+    them once (``agg.worker_cached``) — and every left batch is merged
+    in place, so ``left`` never enters an exchange. Otherwise this is
+    ``hash_join(left, right, on, num_buckets, how)``. Both paths run
+    ``_merge_kernel``, so they emit the same rows.
+
+    This is the one place a keyed lookup chooses between broadcast and
+    join: a test drives every caller down the join path by setting
+    ``agg.BROADCAST_MAX_BYTES = -1``."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(
+            f"lookup_join: how={how!r} would emit unmatched right rows once "
+            "per left batch; use hash_join"
+        )
+    right = right.materialize()
+    rename = {right_on: on} if right_on not in (None, on) else {}
+    known = right.schema() is not None
+    if not known or not fits_broadcast(right.size_bytes()):
+        # a schemaless right is rowless: hash_join resolves it unshuffled
+        if rename and known:
+            right = rename_columns(right, rename)
+        return hash_join(left, right, on, num_buckets=num_buckets, how=how)
+
+    refs = [ref for b in right.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    key = ("lookup", on, right_on, how, *(ref.hex() for ref in refs))
+
+    def gather() -> tuple[pd.DataFrame, pa.Schema]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+        # a rowless block may carry no schema (a group exchange over an
+        # empty bucket emits one) and would break the concat
+        keep = [t for t in tables if t.num_rows] or [
+            t for t in tables if t.num_columns
+        ][:1]
+        t = pa.concat_tables(
+            [t.replace_schema_metadata(None) for t in keep],
+            promote_options="permissive",
+        )
+        t = t.rename_columns([rename.get(c, c) for c in t.column_names])
+        return _right_side(t, on, how), t.schema
+
+    def probe(t: pa.Table):
+        r, rschema = worker_cached(key, gather)
+        return _merge_kernel(t.schema, rschema, on, how)(t, r)
+
+    return left.map_batches(probe, batch_format="pyarrow")
 
 
 def revenue_by_priority(sf_dir: str) -> ray.data.Dataset:
