@@ -11,6 +11,7 @@ import base64
 import json
 import sys
 import threading
+import time
 import types
 import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -394,3 +395,206 @@ class TestOpenAIPipeline:
             proc.communicate()
             pytest.fail("no result within 120 s on a one-CPU Ray session")
         assert proc.returncode == 0, out.decode(errors="replace")[-3000:]
+
+
+# --- requests kept in flight inside one stage task ----------------------------
+
+
+class _PageStubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with its own page's reply after ``HOLD_S``: OCR
+    requests get ``md:<page>``, extraction requests ``{"title": <page>}``.
+    A page listed in ``srv.faults`` is first answered with those statuses,
+    one per POST. Records the page of every POST and the peak number of
+    POSTs being handled at once."""
+
+    HOLD_S = 0.02
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        srv = self.server
+        body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        part = body["messages"][-1]["content"][0]
+        if "image_url" in part:
+            page = base64.b64decode(part["image_url"]["url"].split(",", 1)[1]).decode()
+            content = f"md:{page}"
+        else:
+            page = part["text"]
+            content = json.dumps({"title": page})
+        with srv.lock:
+            srv.seen.append(page)
+            srv.active += 1
+            srv.peak = max(srv.peak, srv.active)
+            faults = srv.faults.get(page)
+            status = faults.pop(0) if faults else 200
+        time.sleep(self.HOLD_S)
+        with srv.lock:
+            srv.active -= 1
+        if status == 200:
+            payload = {
+                "choices": [{"message": {"content": content}}],
+                "usage": {"prompt_tokens": 3, "completion_tokens": 2},
+            }
+        else:
+            payload = {"error": {"message": "injected", "code": status}}
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class _PageStub(ThreadingHTTPServer):
+    # room for every connection one Scorer call opens at once
+    request_queue_size = 64
+    daemon_threads = True
+
+
+@pytest.fixture()
+def page_stub():
+    server = _PageStub(("127.0.0.1", 0), _PageStubHandler)
+    server.lock = threading.Lock()
+    server.seen, server.faults = [], {}
+    server.active = server.peak = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    server.base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+_N_PAGES = 24
+
+
+def _fragment_batch(pages: list[str]):
+    import pyarrow as pa
+
+    n = len(pages)
+    return pa.table(
+        {
+            "url": pa.array([f"https://example.org/doc/{i // 4}" for i in range(n)]),
+            "pid": pa.array([i // 4 for i in range(n)], pa.int64()),
+            "page_index": pa.array([i % 4 + 1 for i in range(n)], pa.int64()),
+            "kind": pa.array(["html"] * n),
+            "fragment": pa.array([p.encode() for p in pages], pa.binary()),
+        }
+    )
+
+
+def _openai_kwargs(stub) -> dict:
+    return {
+        "model": "gpt-4o-mini",
+        "credentials": {
+            "api_key": "sk-test",
+            "base_url": f"{stub.base}/v1/chat/completions",
+        },
+        "retry_backoff_s": 0.0,
+    }
+
+
+class TestConcurrentScorer:
+    """One Scorer call keeps up to ``model.inflight`` requests in flight
+    (pLimit parity, index.ts:48, 366-377) and still returns its rows in
+    input order."""
+
+    pages = [f"page-{i:02d}" for i in range(_N_PAGES)]
+
+    def _score(self, stub, **kw):
+        from zerox_ray.stages.score import Scorer
+
+        scorer = Scorer(model_provider="openai", model_kwargs=_openai_kwargs(stub), **kw)
+        return scorer(_fragment_batch(self.pages)).to_pydict()
+
+    def test_overlaps_requests_and_keeps_row_order(self, page_stub):
+        from zerox_ray.models.providers import OpenAIModel
+
+        # frequent thread switches, so a row handed to the wrong slot shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = self._score(page_stub)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 2 <= page_stub.peak <= OpenAIModel.inflight
+        batch = _fragment_batch(self.pages).to_pydict()
+        for col in ("url", "pid", "page_index"):
+            assert out[col] == batch[col]
+        assert out["content"] == [f"md:{p}" for p in self.pages]
+        assert set(out["status"]) == {"SUCCESS"}
+        assert sorted(page_stub.seen) == self.pages  # one POST per page
+
+    def test_retried_page_succeeds(self, page_stub):
+        page_stub.faults = {"page-07": [429]}
+        out = self._score(page_stub)
+        assert out["content"] == [f"md:{p}" for p in self.pages]
+        assert set(out["status"]) == {"SUCCESS"}
+        assert sorted(page_stub.seen) == sorted(self.pages + ["page-07"])
+
+    def test_throw_mode_raises_on_refused_page(self, page_stub):
+        # refused on both of the Scorer's attempts (max_retries=1)
+        page_stub.faults = {"page-05": [401, 401]}
+        with pytest.raises(urllib.error.HTTPError, match="401"):
+            self._score(page_stub, error_mode="THROW")
+
+    def test_ignore_mode_keeps_refused_page_as_error_row(self, page_stub):
+        page_stub.faults = {"page-05": [401, 401]}
+        out = self._score(page_stub)
+        assert out["status"][5] == "ERROR" and out["content"][5] == ""
+        rest = [i for i in range(_N_PAGES) if i != 5]
+        assert [out["content"][i] for i in rest] == [f"md:{self.pages[i]}" for i in rest]
+
+    def test_page_extractor_overlaps_and_keeps_row_order(self, page_stub):
+        import pyarrow as pa
+
+        from zerox_ray.pipelines.extraction import PageExtractor
+
+        status = ["ERROR" if i % 5 == 0 else "SUCCESS" for i in range(_N_PAGES)]
+        batch = _fragment_batch(self.pages).drop(["kind", "fragment"])
+        batch = batch.append_column("content", pa.array(self.pages, pa.large_string()))
+        batch = batch.append_column("status", pa.array(status))
+        ex = PageExtractor(SCHEMA, "openai", _openai_kwargs(page_stub))
+        out = ex(batch).to_pydict()
+        kept = [p for p, s in zip(self.pages, status) if s == "SUCCESS"]
+        assert out["title"] == kept
+        assert out["page_index"] == [
+            i % 4 + 1 for i in range(_N_PAGES) if status[i] == "SUCCESS"
+        ]
+        assert sorted(page_stub.seen) == kept
+        assert page_stub.peak >= 2
+
+    def test_serial_model_runs_on_the_calling_thread(self):
+        from zerox_ray.models.mock import DeterministicExtractorModel
+        from zerox_ray.stages.score import Scorer
+
+        class ThreadRecorder(DeterministicExtractorModel):
+            threads: set = set()
+
+            def complete(self, fragment, kind, **kwargs):
+                self.threads.add(threading.get_ident())
+                return super().complete(fragment, kind, **kwargs)
+
+        assert ThreadRecorder.inflight == 1
+        scorer = Scorer()
+        scorer.model = ThreadRecorder()
+        out = scorer(_fragment_batch(self.pages))
+        assert out.num_rows == _N_PAGES
+        assert ThreadRecorder.threads == {threading.get_ident()}
+
+    def test_stage_instances_pickle_after_a_call(self, page_stub):
+        import pickle
+
+        from zerox_ray.pipelines.extraction import PageExtractor
+        from zerox_ray.stages.score import Scorer
+
+        scorer = Scorer(model_provider="openai", model_kwargs=_openai_kwargs(page_stub))
+        scorer(_fragment_batch(self.pages))
+        again = pickle.loads(pickle.dumps(scorer))
+        assert again(_fragment_batch(self.pages))["content"].to_pylist() == [
+            f"md:{p}" for p in self.pages
+        ]
+        pickle.dumps(PageExtractor(SCHEMA, "openai", _openai_kwargs(page_stub)))

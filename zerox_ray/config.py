@@ -11,9 +11,11 @@ Field parity map:
 - model_provider / model_kwargs ← createModel args (models/index.ts:48-80)
 - extraction schema fields ← schema/extractPerPage/extractOnly (types.ts:41,25,21)
 - prompt           ← custom system prompt override (index.ts:76)
-- actor_concurrency caps concurrent split/score/extract tasks: a Ray
-  setting, not a per-document semaphore (reference concurrency=10,
-  index.ts:48).
+- actor_concurrency caps concurrent split/score/extract tasks, a Ray
+  setting. The reference's concurrency=10 (index.ts:48) is the model's
+  ``inflight``: requests one task keeps open at once (10 for the
+  networked providers, 1 for the deterministic model). Requests in
+  flight across a run = concurrent tasks × ``model.inflight``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class ZeroxConfig:
     # None disables chunking. Default 64 = pathological-PDF guard that
     # never fires on typical web documents (see GIANT_PAGE_THRESHOLD).
     giant_page_threshold: int | None = 64
-    # cap on concurrent split/score/extract tasks (a rate-limited model
-    # endpoint needs one); None → Ray schedules as many as fit the CPUs
+    # cap on concurrent split/score/extract tasks; None → Ray schedules
+    # as many as fit the CPUs. Each score/extract task keeps up to
+    # model.inflight requests open, so an endpoint sees at most
+    # actor_concurrency × model.inflight at once
     actor_concurrency: int | None = None
 
     def resolved_model_kwargs(self) -> dict:

@@ -57,6 +57,10 @@ class ScorerModel:
     """
 
     system_prompt: str = SYSTEM_PROMPT_BASE
+    #: calls one stage task may keep in flight (``stages.score.map_rows``);
+    #: 1 = one call at a time on the task's thread. A model that sets more
+    #: must be safe to call from that many threads at once.
+    inflight: int = 1
 
     def complete(
         self,

@@ -44,6 +44,9 @@ _RETRYABLE_STATUSES = frozenset({408, 409, 429, 500, 502, 503, 504})
 
 class _NetworkedModel(ScorerModel):
     provider = "base"
+    #: the reference's default ``concurrency`` (index.ts:48); ``_send``
+    #: keeps no per-request state on the instance, so threads may share it
+    inflight = 10
 
     def __init__(
         self,

@@ -24,13 +24,14 @@ import json
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from zerox_ray.config import ZeroxConfig
 from zerox_ray.functions.schema import split_schema
 from zerox_ray.models.base import create_model
 from zerox_ray.pipelines.ocr import extracted_pages
 from zerox_ray.stages.reassemble import DOC_JOIN
-from zerox_ray.stages.score import STATUS_ERROR, STATUS_SUCCESS
+from zerox_ray.stages.score import STATUS_ERROR, STATUS_SUCCESS, map_rows
 
 _ARROW_TYPES = {
     "string": pa.string(),
@@ -64,31 +65,21 @@ class PageExtractor:
         self.props = list(schema.get("properties", {}))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = [s == STATUS_SUCCESS for s in batch["status"].to_pylist()]
-        urls, pids, idxs = [], [], []
-        values: dict[str, list] = {k: [] for k in self.props}
-        for keep, url, pid, idx, content in zip(
-            mask,
-            batch["url"].to_pylist(),
-            batch["pid"].to_pylist(),
-            batch["page_index"].to_pylist(),
+        batch = batch.filter(pc.equal(batch["status"], STATUS_SUCCESS))
+        found = map_rows(
+            lambda content: self.model.extract(content, self.schema).extracted,
             batch["content"].to_pylist(),
-        ):
-            if not keep:
-                continue
-            ex = self.model.extract(content, self.schema)
-            urls.append(url)
-            pids.append(pid)
-            idxs.append(idx)
-            for k in self.props:
-                values[k].append(ex.extracted.get(k))
+            self.model.inflight,
+        )
         cols = {
-            "url": pa.array(urls, pa.string()),
-            "pid": pa.array(pids, pa.int64()),
-            "page_index": pa.array(idxs, pa.int64()),
+            "url": batch["url"].cast(pa.string()),
+            "pid": batch["pid"].cast(pa.int64()),
+            "page_index": batch["page_index"].cast(pa.int64()),
         }
         for k in self.props:
-            cols[k] = pa.array(values[k], _prop_type(self.schema["properties"][k]))
+            cols[k] = pa.array(
+                [ex.get(k) for ex in found], _prop_type(self.schema["properties"][k])
+            )
         return pa.table(cols)
 
 

@@ -8,6 +8,14 @@ model per run, index.ts:248-253; litellm validations run at init,
 modellitellm.py:53-68 — here they fail fast at plan build), and the
 instance ships to every task.
 
+Concurrency parity: the reference runs a document's pages through
+``pLimit(concurrency=10)`` (index.ts:48, 366-377) and places each result
+at its page index (index.ts:371-375). Here ``map_rows`` keeps up to
+``model.inflight`` calls of one batch in flight and returns the rows in
+input order. Networked providers set ``inflight = 10``; the deterministic
+model keeps 1, a plain loop on the task's own thread. Requests in flight
+across a run = concurrent score tasks × ``model.inflight``.
+
 Retry parity: runRetries (utils/common.ts:62-80) — in-UDF retry loop with
 page granularity, layered under Ray's own task retries.
 
@@ -16,6 +24,8 @@ Error rows are DATA (status/error columns), never poisoned blocks
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
 
@@ -85,6 +95,24 @@ def complete_with_retries(model, fragment, kind, max_retries, error_mode, **kwar
             attempt += 1
 
 
+def map_rows(fn, rows: list, inflight: int) -> list:
+    """``[fn(r) for r in rows]``, with up to ``inflight`` calls at once.
+
+    pLimit parity (index.ts:48, 366-377): results keep the input order
+    whatever order the calls finish in, and the first failing row (in
+    input order) raises. The pool is built per call and gone on return,
+    so no thread or lock lives on a stage instance that Ray pickles.
+    ``inflight == 1`` is the plain loop on the calling thread."""
+    if inflight <= 1 or len(rows) <= 1:
+        return [fn(r) for r in rows]
+    pool = ThreadPoolExecutor(min(inflight, len(rows)))
+    try:
+        return list(pool.map(fn, rows))
+    finally:
+        # after a raise, rows not yet started are dropped, not sent
+        pool.shutdown(cancel_futures=True)
+
+
 def rows_to_table(rows: list[dict], with_logprobs: bool = False) -> pa.Table:
     schema = EXTRACTED_SCHEMA_LOGPROBS if with_logprobs else EXTRACTED_SCHEMA
     cols = {name: [r[name] for r in rows] for name in schema.names}
@@ -113,22 +141,25 @@ class Scorer:
         self.with_logprobs = bool((model_kwargs or {}).get("logprobs"))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for url, pid, idx, kind, frag in zip(
+        rows = zip(
             batch["url"].to_pylist(),
             batch["pid"].to_pylist(),
             batch["page_index"].to_pylist(),
             batch["kind"].to_pylist(),
             batch["fragment"].to_pylist(),
-        ):
-            if kind == "error":
-                err = frag.decode("utf-8", errors="replace") or "corrupt payload"
-                if self.error_mode == "THROW":
-                    raise ValueError(f"{url}: {err}")
-                comp = Completion("", 0, 0, error=err)
-            else:
-                comp = complete_with_retries(
-                    self.model, frag, kind, self.max_retries, self.error_mode
-                )
-            rows.append(completion_to_row(url, pid, idx, comp))
-        return rows_to_table(rows, with_logprobs=self.with_logprobs)
+        )
+        out = map_rows(self._score_row, list(rows), self.model.inflight)
+        return rows_to_table(out, with_logprobs=self.with_logprobs)
+
+    def _score_row(self, row: tuple) -> dict:
+        url, pid, idx, kind, frag = row
+        if kind == "error":
+            err = frag.decode("utf-8", errors="replace") or "corrupt payload"
+            if self.error_mode == "THROW":
+                raise ValueError(f"{url}: {err}")
+            comp = Completion("", 0, 0, error=err)
+        else:
+            comp = complete_with_retries(
+                self.model, frag, kind, self.max_retries, self.error_mode
+            )
+        return completion_to_row(url, pid, idx, comp)
