@@ -2,6 +2,7 @@
 broadcast gate and the bounded per-worker cache; and the broadcast-or-join
 ``relational.lookup_join`` built on them."""
 
+import uuid
 import zlib
 
 import numpy as np
@@ -105,6 +106,42 @@ def test_per_batch_state_goes_through_the_bounded_cache(monkeypatch):
     model = _cached_model("deterministic", {"prior_tail_chars": 8})
     assert model in agg._WORKER_CACHE.values()
     assert len(agg._WORKER_CACHE) <= agg.WORKER_CACHE_MAX
+
+
+def test_bucketed_group_map_calls_fn_once_per_residue():
+    """Each ``fn`` call gets exactly the rows of one residue ``key % N``
+    (Python semantics, so negative keys too), never the ``__b`` tag, and
+    the output blocks carry no pandas schema metadata. The per-user
+    events kernels and ``_neighbors_bucket``'s int64 guard rely on this
+    bucket composition."""
+    n = 7
+    edge = [-(2**63), -(2**53) - 3, -15, -8, -1, 0, 1, 6, 7]
+    edge += [2**53 + 1, 2**53 + 8, 2**62 + 5, 2**63 - 1]
+    keys = edge * 3 + list(range(-40, 40, 3))
+    blocks = [pa.table({"k": pa.array(keys[i::4], pa.int64())}) for i in range(4)]
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "k": g["k"].astype("int64"),
+                "call": uuid.uuid4().hex,
+                "cols": ",".join(g.columns),
+            }
+        )
+
+    out = agg.bucketed_group_map(ray.data.from_arrow(blocks), "k", fn, num_buckets=n)
+    mat = out.materialize()
+    for ref in mat.iter_internal_ref_bundles():
+        for block_ref, _ in ref.blocks:
+            assert ray.get(block_ref).schema.metadata is None
+
+    got = mat.to_pandas()
+    assert sorted(got["k"].tolist()) == sorted(keys)
+    assert set(got["cols"]) == {"k"}
+    residue = got["k"].map(lambda v: int(v) % n)
+    assert residue.groupby(got["call"]).nunique().eq(1).all()
+    assert got["call"].groupby(residue).nunique().eq(1).all()
+    assert set(residue) == {int(v) % n for v in keys}
 
 
 def _schemaless_empty() -> ray.data.Dataset:

@@ -1,0 +1,66 @@
+"""Ray executions per query stay at or below the committed record.
+
+``scripts/oracle_runs_sf0.001.json`` is a ``scripts/check_oracles.py
+--json`` record at sf0.001. At a given scale a query's count of
+``StreamingExecutor.execute`` calls is deterministic, so a count above
+the record means the plan gained a barrier (a materialize, a count or a
+pull). The queries rerun here are the fast ones that go through the
+keyed exchange: the per-user events queries and the dedup pair queries.
+"""
+
+import json
+import os
+
+import pytest
+
+from scripts.check_oracles import _count_executions, _to_pandas
+
+RECORD = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "scripts",
+    "oracle_runs_sf0.001.json",
+)
+
+QUERIES = [
+    "asof_purchase_view",
+    "events_neighbors",
+    "events_sessions",
+    "events_funnel",
+    "user_event_ledger",
+    "event_transitions",
+    "session_attribution",
+    "conversion_paths",
+    "dedup_minhash_lsh",
+    "containment_pairs",
+    "dedup_simhash",
+    "dedup_ngram_jaccard",
+]
+
+
+@pytest.fixture(scope="module")
+def record(sf_dir):
+    with open(RECORD) as f:
+        rec = json.load(f)
+    assert os.path.basename(rec["sf_dir"]) == os.path.basename(sf_dir)
+    return rec["queries"]
+
+
+@pytest.fixture(scope="module")
+def executions():
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    unhooked = StreamingExecutor.execute
+    yield _count_executions()
+    StreamingExecutor.execute = unhooked
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_executions_at_most_recorded(name, sf_dir, record, executions):
+    import __ray_entry__ as e
+
+    before = executions[0]
+    _to_pandas(e.queries()[name](sf_dir))
+    got = executions[0] - before
+    assert got <= record[name]["executions"], (
+        f"{name}: {got} Ray executions, recorded {record[name]['executions']}"
+    )

@@ -24,7 +24,28 @@ Parts:
   broadcast state, FIFO-capped so a long-lived worker serving many
   queries evicts instead of growing without bound;
 - ``bucketed_group_agg`` / ``bucketed_group_map`` — the grouped
-  exchanges.
+  exchanges. Every keyed step that buckets rows and runs one
+  vectorized kernel per bucket goes through ``bucketed_group_map``
+  (a fixed ``num_buckets`` where a size bound depends on which keys
+  share a call, e.g. ``relational.N_USER_BUCKETS``).
+
+Exchanges that stay hand-written, and why:
+
+- ``relational.hash_join``: two inputs, each tagged by its own rule
+  (left rows round-robin over ``salt`` sub-buckets, right rows
+  replicated into all of them) and unioned; the tag itself is
+  ``_bucket_ids``;
+- the four LSH banding exchanges in ``dedup`` (``MinHashBander`` for
+  ``minhash_lsh_pairs`` and ``containment_pairs``,
+  ``_explode_simhash_blocks``, ``HyperplaneBander``): the key is the
+  composite (band key, band id), held by no single column, and the
+  bander emits its ``% N_COARSE`` tag in the pass that makes the rows;
+- ``dataops``' ``rng`` range groups (token-shard packing and its
+  explode): their kernels need exactly one range per call, so they
+  group on the range itself, not on a bucket of ranges;
+- ``sketches``' tree merges: each batch emits one partial row already
+  carrying its merge bucket, so a tag stage would be a second pass
+  over a handful of rows.
 
 ``Dataset.groupby(keys).aggregate(...)`` (Ray's Aggregate operator) was
 measured at ~2.5-3 s of fixed overhead per query on the sandbox corpus,
@@ -179,7 +200,9 @@ def bucketed_group_map(
 
     ``fn`` receives a pandas DataFrame holding EVERY row of each key in
     the bucket — but many keys per call (|keys|/W), so per-group Python
-    cost is amortized; ``fn`` must do its own per-key grouping/sorting
-    and must NOT depend on bucket composition. The ``__b`` tag column is
+    cost is amortized; ``fn`` must do its own per-key grouping/sorting,
+    and its rows must NOT depend on which keys share a call. A fixed
+    ``num_buckets`` pins that sharing (``key % num_buckets`` for integer
+    keys) where a size bound relies on it. The ``__b`` tag column is
     dropped before ``fn`` sees the rows."""
     return _bucketed(ds, key, fn, num_buckets)

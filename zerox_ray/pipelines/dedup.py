@@ -60,7 +60,10 @@ PPM = 1_000_000
 #: grouping directly on (band_id, band_key) means one Python call per
 #: tiny LSH bucket (~0.5 ms each — measured 41 CPU-s at sf0.1). Grouping
 #: on a coarse hash of the key instead gives ~N_COARSE calls, each
-#: handling thousands of buckets with vectorized pandas ops.
+#: handling thousands of buckets with vectorized pandas ops. The LSH
+#: banders tag their composite (key, band) rows ``% N_COARSE``
+#: themselves; the n-gram blocks and the pair dedupes (on the pair's
+#: first id) take ``bucketed_group_map`` at this width.
 N_COARSE = 256
 MAX_BUCKET_DOCS = 512
 
@@ -133,12 +136,6 @@ def _coarse_bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
     out_parts.append(pairs)
     out = pd.concat(out_parts, ignore_index=True)
     return out.astype({"doc_a": "int64", "doc_b": "int64"})
-
-
-def _pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    out = df.copy()
-    out["pb"] = ((out["doc_a"] * 1_000_003 + out["doc_b"]) % N_COARSE).astype("int64")
-    return out
 
 
 def _dedupe_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -262,13 +259,9 @@ def minhash_lsh_pairs(
         _coarse_bucket_pairs, batch_format="pandas"
     )
     # a pair surfaces once per colliding band — dedupe before the
-    # (expensive) verify stage; coarse pair-hash buckets again keep the
-    # per-group call count at N_COARSE, not per-pair
-    uniq = (
-        cands.map_batches(_pair_bucket, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(_dedupe_pairs, batch_format="pandas")
-    )
+    # (expensive) verify stage; every copy of a pair has the same doc_a,
+    # so N_COARSE buckets on doc_a co-locate them
+    uniq = bucketed_group_map(cands, "doc_a", _dedupe_pairs, num_buckets=N_COARSE)
     if not fits_broadcast(os.path.getsize(path)):
         return _verify_pairs_by_join(uniq, sf_dir, shingle_n, threshold_ppm)
     docs_ref = ray.put(pq.read_table(path, columns=["doc_id", "text"]))
@@ -416,11 +409,7 @@ def containment_pairs(
     cands = bands.groupby("bucket").map_groups(
         _coarse_bucket_pairs, batch_format="pandas"
     )
-    uniq = (
-        cands.map_batches(_pair_bucket, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(_dedupe_pairs, batch_format="pandas")
-    )
+    uniq = bucketed_group_map(cands, "doc_a", _dedupe_pairs, num_buckets=N_COARSE)
     if not fits_broadcast(os.path.getsize(path)):
         return _verify_containment_by_join(uniq, sf_dir, shingle_n, threshold_ppm)
     docs_ref = ray.put(pq.read_table(path, columns=["doc_id", "text"]))
@@ -554,18 +543,16 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
         lambda g: _coarse_simhash_pairs(g, max_hamming), batch_format="pandas"
     )
     # a pair surfaces once per colliding block — dedupe keeping the
-    # (identical) hamming via coarse pair-hash buckets. Cap sentinels
-    # (doc_a = -1) are intermediate markers only: filtered here so no
-    # phantom document leaks into the public pair set
-    return (
-        pairs.map_batches(_pair_bucket, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(
-            lambda g: g[g["doc_a"] >= 0]
-            .sort_values(["doc_a", "doc_b", "hamming"])
-            .drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b", "hamming"]],
-            batch_format="pandas",
-        )
+    # (identical) hamming, bucketed on doc_a. Cap sentinels (doc_a = -1)
+    # are intermediate markers only: filtered here so no phantom
+    # document leaks into the public pair set
+    return bucketed_group_map(
+        pairs,
+        "doc_a",
+        lambda g: g[g["doc_a"] >= 0]
+        .sort_values(["doc_a", "doc_b", "hamming"])
+        .drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b", "hamming"]],
+        num_buckets=N_COARSE,
     )
 
 
@@ -580,15 +567,13 @@ def _block_key_batch(df: pd.DataFrame, shingle_n: int) -> pd.DataFrame:
     for t in df["text"]:
         sh = token_shingles(TOKEN_RE.findall(t), shingle_n)
         keys.append(md5_64(min(sh) if sh else b"") & 0x7FFFFFFFFFFFFFFF)
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "doc_id": df["doc_id"].astype("int64"),
             "block": pd.Series(keys, dtype="int64"),
             "text": df["text"],
         }
     )
-    out["bucket"] = (out["block"] % N_COARSE).astype("int64")
-    return out
 
 
 def _coarse_jaccard_pairs(
@@ -635,9 +620,11 @@ def ngram_jaccard_pairs(
     blocked = ds.map_batches(
         lambda df: _block_key_batch(df, shingle_n), batch_format="pandas"
     )
-    pairs = blocked.groupby("bucket").map_groups(
+    pairs = bucketed_group_map(
+        blocked,
+        "block",
         lambda g: _coarse_jaccard_pairs(g, shingle_n, threshold_ppm),
-        batch_format="pandas",
+        num_buckets=N_COARSE,
     )
     # cap sentinels are intermediate markers, not documents — the public
     # pair set must not leak a phantom doc_id -1 into joins/components
@@ -834,18 +821,11 @@ def embedding_near_dup(
         HyperplaneBander(dim=dim, n_bits=n_bits), batch_format="pandas"
     )
     cands = sk.groupby("bucket").map_groups(_coarse_vec_pairs, batch_format="pandas")
-    uniq = (
-        cands.map_batches(
-            lambda df: df.assign(
-                pb=((df["vec_a"] * 1_000_003 + df["vec_b"]) % N_COARSE).astype("int64")
-            ),
-            batch_format="pandas",
-        )
-        .groupby("pb")
-        .map_groups(
-            lambda g: g.drop_duplicates(["vec_a", "vec_b"])[["vec_a", "vec_b"]],
-            batch_format="pandas",
-        )
+    uniq = bucketed_group_map(
+        cands,
+        "vec_a",
+        lambda g: g.drop_duplicates(["vec_a", "vec_b"])[["vec_a", "vec_b"]],
+        num_buckets=N_COARSE,
     )
     if not fits_broadcast(os.path.getsize(path)):
         return _verify_vec_pairs_by_join(uniq, path, threshold_ppm)
@@ -1015,12 +995,11 @@ def minlabel_components(
             ),
             batch_format="pandas",
         )
-        mixed = tagged_lab.union(tagged_edg).union(tagged_ptr).map_batches(
-            lambda df: df.assign(bucket=(df["node"] % n_buckets).astype("int64")),
-            batch_format="pandas",
-        )
-        msgs = mixed.groupby("bucket").map_groups(
-            _propagate_bucket, batch_format="pandas"
+        msgs = bucketed_group_map(
+            tagged_lab.union(tagged_edg).union(tagged_ptr),
+            "node",
+            _propagate_bucket,
+            num_buckets=n_buckets,
         )
         # coalesce before materializing: the round's shuffle emits as
         # many blocks as it receives, and labels feeds the next round

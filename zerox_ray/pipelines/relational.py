@@ -8,23 +8,26 @@ Scale design:
   nation dims) is ``ray.put`` ONCE and read zero-copy by every task —
   never a shuffle, never re-shipped per batch. Each batch pre-aggregates
   (combiner) so the final groupby exchanges ~|nations| rows per block.
-- **Hash join** (`hash_join`): both sides get a ``bucket = hash(key)%B``
-  column, are tagged and unioned, and ONE groupby co-locates each
-  bucket; a pandas merge inside the group does the actual join. This is
-  the guide's explicit partitioned-join shape — portable across shuffle
-  strategies and transparent about its single all-to-all.
+- **Hash join** (`hash_join`): both sides get a bucket column whose tag
+  is ``agg._bucket_ids`` of the key (times the salt, plus a sub-bucket),
+  are tagged and unioned, and ONE groupby co-locates each bucket; a
+  merge inside the group does the actual join. This is the guide's
+  explicit partitioned-join shape — portable across shuffle strategies
+  and transparent about its single all-to-all.
 - **Lookup join** (`lookup_join`): a keyed table attached to another
   side (inner/left/semi/anti). The table is materialized; while its
   bytes fit ``agg.fits_broadcast`` its blocks ship once and every
   other-side batch merges in place, else it is ``hash_join``. Both
   paths run the same per-partition merge (``_merge_kernel``).
 - **As-of join** (`asof_purchase_view`): per-key ordered semantics →
-  groupby(user) + in-group sort + vectorized ``searchsorted`` (no
-  global sort). Concurrency comes from many users; a hot key only slows
-  its own bucket.
+  ``bucketed_group_map`` on ``user_id`` + in-bucket sort + vectorized
+  ``merge_asof`` (no global sort). Concurrency comes from many users; a
+  hot key only slows its own bucket.
 - **Session windows** (`events_sessions`): gap-based sessionization =
-  per-key sort + diff/cumsum inside ``map_groups`` (batch analogue of a
-  streaming session window; watermark-free because input is bounded).
+  ``bucketed_group_map`` on ``user_id``, then a per-user sort +
+  diff/cumsum inside each bucket (batch analogue of a streaming session
+  window; watermark-free because input is bounded). Every per-user
+  events query takes this one exchange.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from zerox_ray.sources.tables import read_table
 from zerox_ray.pipelines.agg import (
     _bucket_ids,
     bucketed_group_agg,
+    bucketed_group_map,
     fits_broadcast,
     shuffle_width,
     worker_cached,
@@ -503,10 +507,12 @@ def revenue_by_priority(sf_dir: str) -> ray.data.Dataset:
 # --- as-of join --------------------------------------------------------------
 
 
-#: coarse user-hash buckets: map_groups is invoked once per GROUP, so
-#: grouping directly on user_id costs one Python call per user (~ms
-#: each); grouping on a coarse hash gives ~N_USER_BUCKETS calls, each
-#: sessionizing/joining thousands of users with vectorized kernels
+#: user buckets of the per-user events exchanges (``bucketed_group_map``
+#: on ``user_id``, so bucket = ``user_id % N_USER_BUCKETS``): one kernel
+#: call per bucket, each sessionizing/joining thousands of users with
+#: vectorized code instead of one Python call per user. It also bounds
+#: the users one kernel call sees, which ``_neighbors_bucket``'s int64
+#: composite-key guard relies on
 N_USER_BUCKETS = 256
 
 
@@ -559,13 +565,11 @@ def asof_purchase_view(sf_dir: str) -> ray.data.Dataset:
     ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
-    ).map_batches(  # vectorized predicate + coarse bucket key in one pass
-        lambda df: df[df["event_type"].isin(["purchase", "view"])].assign(
-            bucket=lambda d: (d["user_id"] % N_USER_BUCKETS).astype("int64")
-        ),
+    ).map_batches(
+        lambda df: df[df["event_type"].isin(["purchase", "view"])],
         batch_format="pandas",
     )
-    return ds.groupby("bucket").map_groups(_asof_bucket, batch_format="pandas")
+    return bucketed_group_map(ds, "user_id", _asof_bucket, num_buckets=N_USER_BUCKETS)
 
 
 # --- range self-join ----------------------------------------------------------
@@ -631,14 +635,12 @@ def events_neighbors(
     Output: (event_id, n_neighbors, neighbor_cents)."""
     ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    ).map_batches(
-        lambda df: df.assign(
-            bucket=(df["user_id"].astype("int64") % N_USER_BUCKETS)
-        ),
-        batch_format="pandas",
     )
-    return ds.groupby("bucket").map_groups(
-        lambda g: _neighbors_bucket(g, window_us), batch_format="pandas"
+    return bucketed_group_map(
+        ds,
+        "user_id",
+        lambda g: _neighbors_bucket(g, window_us),
+        num_buckets=N_USER_BUCKETS,
     )
 
 
@@ -687,19 +689,13 @@ def events_sessions(sf_dir: str, gap_hours: int = 8) -> ray.data.Dataset:
     """Gap-based session windows per user over the events stream.
     Output: (user_id, session_id, n_events, start_us, end_us)."""
     gap_us = gap_hours * 3600 * _US
-    from zerox_ray.sources.tables import strip_schema_metadata
-
-    ds = read_table(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    ).map_batches(
-        lambda df: df.assign(
-            bucket=(df["user_id"] % N_USER_BUCKETS).astype("int64")
-        ),
-        batch_format="pandas",
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
+    return bucketed_group_map(
+        ds,
+        "user_id",
+        lambda g: _sessionize_bucket(g, gap_us),
+        num_buckets=N_USER_BUCKETS,
     )
-    return ds.groupby("bucket").map_groups(
-        lambda g: _sessionize_bucket(g, gap_us), batch_format="pandas"
-    ).map_batches(strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # --- sliding windows ---------------------------------------------------------
@@ -822,17 +818,13 @@ def events_funnel(
     row; each later step must land within ``within_hours`` of the prior
     step. Output: (user_id, depth, start_us, end_us)."""
     within_us = within_hours * 3600 * _US
-    from zerox_ray.sources.tables import strip_schema_metadata
-
-    ds = read_table(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    ).map_batches(
-        lambda df: df.assign(bucket=(df["user_id"] % N_USER_BUCKETS).astype("int64")),
-        batch_format="pandas",
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"])
+    return bucketed_group_map(
+        ds,
+        "user_id",
+        lambda g: _funnel_bucket(g, steps, within_us),
+        num_buckets=N_USER_BUCKETS,
     )
-    return ds.groupby("bucket").map_groups(
-        lambda g: _funnel_bucket(g, steps, within_us), batch_format="pandas"
-    ).map_batches(strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # --- semi / anti joins --------------------------------------------------------
@@ -954,7 +946,6 @@ def user_event_ledger(sf_dir: str) -> ray.data.Dataset:
     O(rows) output; ONE exchange on the coarse user bucket.
     Output: (event_id, user_id, ts_us, running_cents, gap_us) where
     gap_us = -1 for each user's first event."""
-    from zerox_ray.sources.tables import strip_schema_metadata
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -963,16 +954,13 @@ def user_event_ledger(sf_dir: str) -> ray.data.Dataset:
                 "user_id": df["user_id"].astype("int64"),
                 "ts": df["ts"],
                 "cents": np.floor(df["value"].to_numpy() * CENTS).astype(np.int64),
-                "bucket": (df["user_id"].astype("int64") % N_USER_BUCKETS),
             }
         )
 
     ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     ).map_batches(prep, batch_format="pandas")
-    return ds.groupby("bucket").map_groups(
-        _ledger_bucket, batch_format="pandas"
-    ).map_batches(strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed_group_map(ds, "user_id", _ledger_bucket, num_buckets=N_USER_BUCKETS)
 
 
 # --- TPC-H-Q1-style pricing rollup --------------------------------------------
@@ -1075,8 +1063,6 @@ def priority_price_quantiles(
     many-rows shape where one exchange is the right cost. For
     many-groups-huge-group inputs, the histogram sketch is the scale
     path. Output: (o_orderpriority, q_pct, value_cents)."""
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
     ).map_batches(
@@ -1473,8 +1459,6 @@ def interval_join(
     tagged = orders.map_batches(
         lambda df: _interval_rows(df, bucket_days), batch_format="pandas"
     )
-    from zerox_ray.pipelines.agg import bucketed_group_map
-
     return bucketed_group_map(tagged, "bucket", _interval_bucket_kernel)
 
 
@@ -1515,24 +1499,12 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
     (from, to) partials then collapse in ONE tiny grouped sum bounded by
     |event types|² rows, never by the stream length.
     Output: (from_type, to_type, n)."""
-    from zerox_ray.pipelines.agg import (
-    _bucket_ids,
-    bucketed_group_agg,
-    shuffle_width,
-    worker_cached,
-)
-
     ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
-    ).map_batches(
-        lambda df: df.assign(
-            bucket=(df["user_id"].astype("int64") % N_USER_BUCKETS)
-        ),
-        batch_format="pandas",
     )
-    partials = ds.groupby("bucket").map_groups(
-        _transitions_bucket, batch_format="pandas"
+    partials = bucketed_group_map(
+        ds, "user_id", _transitions_bucket, num_buckets=N_USER_BUCKETS
     )
     return bucketed_group_agg(
         partials, ["from_type", "to_type"], {"n": ("n", "sum")}
@@ -1586,25 +1558,16 @@ def session_attribution(sf_dir: str, gap_hours: int = 8) -> ray.data.Dataset:
     vectorized run-length sessionization + one scatter-add per bucket,
     then a tiny (first_type) grouped sum (≤ |event types| rows). Output:
     (first_type, n_sessions, revenue_cents)."""
-    from zerox_ray.pipelines.agg import (
-    _bucket_ids,
-    bucketed_group_agg,
-    shuffle_width,
-    worker_cached,
-)
-
     gap_us = gap_hours * 3600 * _US
     ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type", "value"],
-    ).map_batches(
-        lambda df: df.assign(
-            bucket=(df["user_id"].astype("int64") % N_USER_BUCKETS)
-        ),
-        batch_format="pandas",
     )
-    partials = ds.groupby("bucket").map_groups(
-        lambda g: _attribution_bucket(g, gap_us), batch_format="pandas"
+    partials = bucketed_group_map(
+        ds,
+        "user_id",
+        lambda g: _attribution_bucket(g, gap_us),
+        num_buckets=N_USER_BUCKETS,
     )
     return bucketed_group_agg(
         partials,
@@ -1763,24 +1726,12 @@ def conversion_paths(sf_dir: str) -> ray.data.Dataset:
     Scale shape: identical to event_transitions — ONE user-bucket
     exchange, two shifted boundary-masked views per bucket, ONE grouped
     sum bounded by |types|². Output: (prev2_type, prev1_type, n)."""
-    from zerox_ray.pipelines.agg import (
-    _bucket_ids,
-    bucketed_group_agg,
-    shuffle_width,
-    worker_cached,
-)
-
     ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
-    ).map_batches(
-        lambda df: df.assign(
-            bucket=(df["user_id"].astype("int64") % N_USER_BUCKETS)
-        ),
-        batch_format="pandas",
     )
-    partials = ds.groupby("bucket").map_groups(
-        _conversion_bucket, batch_format="pandas"
+    partials = bucketed_group_map(
+        ds, "user_id", _conversion_bucket, num_buckets=N_USER_BUCKETS
     )
     return bucketed_group_agg(
         partials, ["prev2_type", "prev1_type"], {"n": ("n", "sum")}

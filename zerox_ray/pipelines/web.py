@@ -195,14 +195,8 @@ def _pack_shards(
         )
 
     cm = _coarse_modulus(hashed.count())
-    bucketed = hashed.map_batches(
-        lambda df: df.assign(cb=(df["rng"] % cm).astype("int64")),
-        batch_format="pandas",
-    )
-    return (
-        bucketed.groupby("cb")
-        .map_groups(assign, batch_format="pandas")
-        .select_columns(["url", *extra_cols, "n_tok", "shard_id"])
+    return bucketed_group_map(hashed, "rng", assign, num_buckets=cm).select_columns(
+        ["url", *extra_cols, "n_tok", "shard_id"]
     )
 
 
@@ -472,12 +466,6 @@ def rank_curate(
         )
 
     cm = _coarse_modulus(ranged.count())
-    bucketed = ranged.map_batches(
-        lambda df: df.assign(cb=(df["rng"] % cm).astype("int64")),
-        batch_format="pandas",
-    )
-    return (
-        bucketed.groupby("cb")
-        .map_groups(assign, batch_format="pandas")
-        .select_columns(["url", "n_tok", "rank", "shard_id"])
+    return bucketed_group_map(ranged, "rng", assign, num_buckets=cm).select_columns(
+        ["url", "n_tok", "rank", "shard_id"]
     )

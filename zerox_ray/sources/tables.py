@@ -44,16 +44,6 @@ def small_read_blocks() -> int:
     return max(8, cpus // 2)
 
 
-def strip_schema_metadata(t):
-    """Drop per-file schema metadata (e.g. the b'pandas' blob pandas
-    writers embed): a pyarrow Schema carrying a metadata dict is
-    UNHASHABLE, which defeats Ray's shuffle-side schema deduplication and
-    logs a 'Failed to hash the schemas' warning per reduce task. Reads
-    strip at the source via ``clean_read_schema``; this map remains for
-    stages whose pandas→Arrow conversion re-attaches the blob."""
-    return t.replace_schema_metadata(None)
-
-
 def clean_read_schema(path: str | list, columns: list[str] | None):
     """Metadata-free (and column-pruned) schema for ``read_parquet``'s
     ``schema=`` argument, from one footer. Passing it makes the READ
