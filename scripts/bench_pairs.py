@@ -9,7 +9,8 @@ measure each other). Each run prints one JSON line: side, pair, exit
 code, ``correct``, attempted, failed and the run's metrics. The last
 line is a JSON summary: per side, the exit codes and the median of every
 metric; per metric, the change's median relative to the parent's. Exit
-code 0 only if every run exited 0.
+code 0 only if every run exited 0; exit code 2, before any further run,
+when a ``raylet`` from another Ray session is alive.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+from check_oracles import refuse_beside_live_ray
 
 SEED = 301
 SECONDS = 20
@@ -68,6 +71,8 @@ def main() -> int:
         # does not favour one side
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for side in order:
+            if refuse_beside_live_ray("bench_pairs"):
+                return 2
             run = run_once(sides[side], a.workload, a.trace)
             runs[side].append(run)
             print(json.dumps({"side": side, "pair": pair, **run}), flush=True)

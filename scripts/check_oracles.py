@@ -12,6 +12,9 @@ plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
 ``executions`` (calls of ``StreamingExecutor.execute``, which is what
 every materialize, count or pull of a lazy plan runs), ``rows`` and
 ``match`` (``"match"``, ``"mismatch"`` or ``"rows-only"``).
+
+The sweep refuses to start (exit 2) while a ``raylet`` runs on the box:
+two local Ray sessions alive at once crash each other.
 """
 
 from __future__ import annotations
@@ -82,6 +85,39 @@ def _count_executions() -> list[int]:
     return calls
 
 
+def raylet_pids(proc: str = "/proc") -> list[int]:
+    """Pids of the running ``raylet`` processes, read from ``proc``'s
+    ``<pid>/comm`` files."""
+    pids = []
+    for d in os.listdir(proc):
+        if not d.isdigit():
+            continue
+        try:
+            with open(os.path.join(proc, d, "comm")) as f:
+                if f.read().strip() == "raylet":
+                    pids.append(int(d))
+        except OSError:  # the process ended, or is not ours to read
+            continue
+    return sorted(pids)
+
+
+def refuse_beside_live_ray(prog: str) -> int:
+    """0 when no raylet runs; else print why ``prog`` will not start and
+    return 2. A second ``ray.init(address="local")`` session beside a
+    live one makes both die with ``Tried to complete task that was not
+    pending``."""
+    pids = raylet_pids()
+    if pids:
+        named = ", ".join(map(str, pids))
+        print(
+            f"{prog}: a Ray session is already running (raylet pid {named});"
+            " two local sessions crash each other, stop it first",
+            file=sys.stderr,
+        )
+        return 2
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
@@ -90,6 +126,8 @@ def main() -> int:
     args = ap.parse_args()
     sf_dir, only = args.sf_dir, set(args.queries)
 
+    if refuse_beside_live_ray("check_oracles"):
+        return 2
     import ray
 
     warnings.filterwarnings("ignore")

@@ -1,6 +1,6 @@
 """The exchange layer (pipelines/agg.py): bucket tag, shuffle width,
-broadcast gate and the bounded per-worker cache; and the broadcast-or-join
-``relational.lookup_join`` built on them."""
+broadcast gate, gathered-state gate and the bounded per-worker cache;
+and the broadcast-or-join ``relational.lookup_join`` built on them."""
 
 import uuid
 import zlib
@@ -152,6 +152,25 @@ def _schemaless_empty() -> ray.data.Dataset:
         ["k"],
         {"n": ("k", "size")},
     )
+
+
+def test_gathered_runs_one_task_over_every_block(monkeypatch):
+    # two inputs of several blocks each, one of them rowless and
+    # schemaless: the kernel sees each input as one metadata-free table
+    a = ray.data.from_pandas(
+        [pd.DataFrame({"x": [1, 2]}), pd.DataFrame({"x": [], "y": []}), pd.DataFrame({"x": [3]})]
+    ).materialize()
+    b = _schemaless_empty().materialize()
+
+    def kernel(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        assert ta.schema.metadata is None and tb.num_columns == 0
+        return pa.table({"s": [int(np.sum(ta["x"].to_numpy()))], "n": [tb.num_rows]})
+
+    out = agg.gathered(kernel, a, b)
+    assert out.num_blocks() == 1
+    assert out.to_pandas().to_dict("list") == {"s": [6], "n": [0]}
+    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+    assert agg.gathered(kernel, a, b) is None
 
 
 def _rows(ds: ray.data.Dataset) -> tuple[list[str], list[tuple]]:

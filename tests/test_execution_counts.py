@@ -5,7 +5,10 @@
 ``StreamingExecutor.execute`` calls is deterministic, so a count above
 the record means the plan gained a barrier (a materialize, a count or a
 pull). The queries rerun here are the fast ones that go through the
-keyed exchange: the per-user events queries and the dedup pair queries.
+keyed exchange (the per-user events queries and the dedup pair queries)
+and the fixed points that run in one gathered task below the broadcast
+gate (kcore and the PageRank family), where a count above the record
+means the loop fell back to its per-round barriers.
 """
 
 import json
@@ -34,6 +37,10 @@ QUERIES = [
     "containment_pairs",
     "dedup_simhash",
     "dedup_ngram_jaccard",
+    "kcore",
+    "pagerank",
+    "personalized_pagerank",
+    "host_rank",
 ]
 
 

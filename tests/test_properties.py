@@ -6,6 +6,7 @@ import string
 
 import numpy as np
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -547,12 +548,13 @@ def test_cocitation_counts_random_graphs_match_counter_replica(n, raw_edges):
     ),
     st.integers(min_value=1, max_value=4),
 )
-def test_kcore_random_graphs_match_peel_replica(n, raw_edges, k):
+@pytest.mark.parametrize("path", ["gathered", "rounds"])
+def test_kcore_random_graphs_match_peel_replica(path, n, raw_edges, k):
     import pyarrow as pa
     import ray.data
     from collections import Counter
 
-    from zerox_ray.pipelines.graph import kcore
+    import zerox_ray.pipelines.graph as G
 
     edges = {(a % n, b % n) for a, b in raw_edges if a % n != b % n}
     und = edges | {(b, a) for a, b in edges}
@@ -576,7 +578,10 @@ def test_kcore_random_graphs_match_peel_replica(n, raw_edges, k):
             break
         E = {(a, b) for a, b in E if a in surv and b in surv}
     want = dict(Counter(f"n{a}" for a, b in E))
-    got = kcore(ds, k=k, prefix="n").to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        if path == "rounds":
+            m.setattr(G, "gathered", lambda kernel, *inputs: None)
+        got = G.kcore(ds, k=k, prefix="n").to_pandas()
     got_m = {} if got.empty else dict(zip(got.url, got.degree))
     assert got_m == want
 

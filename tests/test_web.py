@@ -804,25 +804,151 @@ class TestGraphCensus:
         assert bcast.equals(joined)
 
 
-def test_kcore_join_path_matches_broadcast(sf_dir, monkeypatch):
-    # force the above-cap two-semi-join branch and pin it
-    # output-identical to the survivor-broadcast branch
+def _three_paths(monkeypatch, build):
+    """``build()``'s rows on the three paths of a gathered fixed point:
+    the one-task gathered loop, the rounds with broadcast lookups
+    (``graph.gathered`` declines) and the rounds with partitioned joins
+    (``BROADCAST_MAX_BYTES = -1`` declines both gates). Each frame is
+    sorted on all its columns; a rowless result is None (the rounds may
+    emit a schemaless one)."""
     import zerox_ray.pipelines.graph as G
 
-    bcast = (
-        G.kcore(pages_dir_for(sf_dir))
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
+    def rows():
+        df = build().to_pandas()
+        if df.empty:
+            return None
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    ran = []
+    real = G.gathered
+
+    def spy(kernel, *inputs):
+        out = real(kernel, *inputs)
+        ran.append(out is not None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(G, "gathered", spy)
+        got = {"gathered": rows()}
+    assert ran == [True]
+    with monkeypatch.context() as m:
+        m.setattr(G, "gathered", lambda kernel, *inputs: None)
+        got["rounds"] = rows()
+    with monkeypatch.context() as m:
+        m.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+        got["join"] = rows()
+    return got
+
+
+def _assert_same(got):
+    first = got["gathered"]
+    for path, df in got.items():
+        if first is None or df is None:
+            assert first is None and df is None, path
+        else:
+            assert df.dtypes.equals(first.dtypes), path
+            assert df.equals(first), path
+
+
+def test_kcore_join_path_matches_broadcast(sf_dir, monkeypatch):
+    # the gathered peel, the rounds with survivor-broadcast semi lookups
+    # and the rounds with two partitioned semi joins emit the same rows
+    import zerox_ray.pipelines.graph as G
+
+    got = _three_paths(monkeypatch, lambda: G.kcore(pages_dir_for(sf_dir)))
+    assert got["gathered"] is not None
+    _assert_same(got)
+
+
+@pytest.mark.parametrize("query", ["pagerank", "personalized_pagerank", "host_rank"])
+def test_pagerank_family_paths_match(sf_dir, monkeypatch, query):
+    import zerox_ray.pipelines.graph as G
+    from zerox_ray.testgen import URL_PREFIX, multihost_pages_dir_for
+
+    build = {
+        "pagerank": lambda: G.pagerank(pages_dir_for(sf_dir)),
+        "personalized_pagerank": lambda: G.personalized_pagerank(
+            pages_dir_for(sf_dir), seeds=[f"{URL_PREFIX}{d}" for d in range(0, 500, 50)]
+        ),
+        "host_rank": lambda: G.host_rank(multihost_pages_dir_for(sf_dir)),
+    }[query]
+    got = _three_paths(monkeypatch, build)
+    assert got["gathered"] is not None and len(got["gathered"]) > 1
+    _assert_same(got)
+
+
+def _tiny_pages(rows):
+    """One block per page, so the same edge seen from both ends, or a
+    duplicated page, meets only in the global de-dupe."""
+    import pyarrow as pa
+    import ray.data
+
+    def html(targets):
+        return b"".join(b'<a href="%s">x</a>' % t.encode() for t in targets) or b"<p>leaf</p>"
+
+    return ray.data.from_arrow(
+        [
+            pa.table({"url": pa.array([u], pa.string()), "html": pa.array([html(ts)], pa.binary())})
+            for u, ts in rows
+        ]
     )
-    monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
-    joined = (
-        G.kcore(pages_dir_for(sf_dir))
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert bcast.equals(joined)
+
+
+#: hand-built corpora, url prefix "u": a linkless one, and one with a
+#: duplicated edge (u0→u1 twice), a duplicated page row (u2), a self
+#: link (u3) and an in-namespace target outside the corpus (u9)
+_LINKLESS = [(f"u{i}", []) for i in range(4)]
+_QUIRKS = [
+    ("u0", ["u1", "u1", "u2", "u3"]),
+    ("u1", ["u0", "u2", "u9"]),
+    ("u2", ["u0", "u1", "u3"]),
+    ("u2", ["u0", "u1", "u3"]),
+    ("u3", ["u3", "u0", "u1", "u2", "u9"]),
+    ("u4", ["u0"]),
+]
+_EDGE_CASES = {
+    "kcore-linkless": (_LINKLESS, lambda G, ds: G.kcore(ds, prefix="u")),
+    "kcore-quirks": (_QUIRKS, lambda G, ds: G.kcore(ds, k=3, prefix="u")),
+    "kcore-all-peeled": (_QUIRKS, lambda G, ds: G.kcore(ds, k=99, prefix="u")),
+    "kcore-rounds-0": (_QUIRKS, lambda G, ds: G.kcore(ds, k=3, rounds=0, prefix="u")),
+    "pagerank-linkless": (_LINKLESS, lambda G, ds: G.pagerank(ds, prefix="u")),
+    "pagerank-quirks": (_QUIRKS, lambda G, ds: G.pagerank(ds, prefix="u")),
+    "pagerank-iters-0": (_QUIRKS, lambda G, ds: G.pagerank(ds, iters=0, prefix="u")),
+    "ppr-quirks": (
+        _QUIRKS,
+        lambda G, ds: G.personalized_pagerank(ds, seeds=["u2", "u4"], prefix="u"),
+    ),
+    "ppr-iters-0": (
+        _QUIRKS,
+        lambda G, ds: G.personalized_pagerank(ds, seeds=["u2"], iters=0, prefix="u"),
+    ),
+    "ppr-no-seeds": (_QUIRKS, lambda G, ds: G.personalized_pagerank(ds, seeds=[], prefix="u")),
+    "ppr-seed-outside-corpus": (
+        _QUIRKS,
+        lambda G, ds: G.personalized_pagerank(ds, seeds=["u9", "u0"], prefix="u"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_gathered_edge_cases_match_rounds(monkeypatch, case):
+    import zerox_ray.pipelines.graph as G
+
+    pages, build = _EDGE_CASES[case]
+    got = _three_paths(monkeypatch, lambda: build(G, _tiny_pages(pages)))
+    _assert_same(got)
+    if case in ("kcore-linkless", "kcore-all-peeled"):
+        assert got["gathered"] is None
+    if case == "pagerank-iters-0":
+        # the duplicated page row is two rank rows joined with two node
+        # rows: four output rows at the initial rank
+        df = got["gathered"]
+        assert (df.url == "u2").sum() == 4 and (df["rank"] == G.PR_SCALE).all()
+    if case == "ppr-no-seeds":
+        assert (got["gathered"]["rank"] == 0).all()
+    if case.startswith(("pagerank", "ppr")):
+        # u9 is ranked inside the loop but is no page: it never surfaces
+        assert "u9" not in set(got["gathered"].url)
 
 
 def test_degree_assortativity_join_path_matches_broadcast(sf_dir, monkeypatch):

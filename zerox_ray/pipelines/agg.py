@@ -1,6 +1,6 @@
 """The engine's exchange layer: the bucket tag, shuffle width, loop
-coalesce width, broadcast gate, per-worker broadcast cache and grouped
-exchanges the pipelines share.
+coalesce width, broadcast gate, gathered-state gate, per-worker
+broadcast cache and grouped exchanges the pipelines share.
 
 Parts:
 
@@ -20,6 +20,13 @@ Parts:
   picks the path; a test forces the join path by monkeypatching the
   constant to -1. (dedup's pair-verify stages also gate a whole-file
   broadcast on it.)
+- ``gathered`` — the same gate over a whole loop's state: while the
+  materialized inputs' summed bytes pass ``fits_broadcast``, ONE Ray
+  task concatenates each input (``concat_blocks``, shared with
+  ``lookup_join``'s broadcast) and runs a kernel over them; above it the
+  caller runs its distributed rounds. ``graph.kcore`` and the PageRank
+  family run their fixed points through it: on a small graph one core
+  finishes the loop before the rounds' barriers would;
 - ``worker_cached`` — the one per-worker cache of deserialized
   broadcast state, FIFO-capped so a long-lived worker serving many
   queries evicts instead of growing without bound;
@@ -72,6 +79,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.block import BlockAccessor
 
 from zerox_ray.functions.hashing import crc32_array
 
@@ -110,6 +118,51 @@ def fits_broadcast(nbytes: int) -> bool:
     """True when ``nbytes`` of state may ship by broadcast. Reads the
     module constant at call time, so a monkeypatch reaches every site."""
     return nbytes <= BROADCAST_MAX_BYTES
+
+
+def block_refs(ds: ray.data.Dataset) -> list:
+    """Object refs of a materialized dataset's blocks."""
+    return [ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
+
+
+def concat_blocks(blocks) -> pa.Table:
+    """One metadata-free Arrow table from Ray blocks (Arrow or pandas).
+    Rowless blocks are skipped: a group exchange over an empty bucket
+    emits one that may carry no schema, which would break the concat.
+    With no rows at all the first block that has columns is kept (none:
+    an empty, columnless table)."""
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    keep = [t for t in tables if t.num_rows] or [t for t in tables if t.num_columns][:1]
+    if not keep:
+        return pa.table({})
+    return pa.concat_tables(
+        [t.replace_schema_metadata(None) for t in keep], promote_options="permissive"
+    )
+
+
+@ray.remote
+def _gathered_task(kernel, counts: list[int], *blocks) -> pa.Table:
+    tables, i = [], 0
+    for n in counts:
+        tables.append(concat_blocks(blocks[i : i + n]))
+        i += n
+    return kernel(*tables).replace_schema_metadata(None)
+
+
+def gathered(kernel, *inputs: ray.data.Dataset) -> ray.data.Dataset | None:
+    """``kernel(*tables) -> pa.Table`` run in ONE Ray task over the whole
+    of each materialized input, when their summed block bytes (Ray's
+    block metadata, no extra pass) pass ``fits_broadcast``; the result is
+    a one-block dataset and never lands on the driver. Returns None
+    above the gate: the caller then runs its distributed rounds. Each
+    input reaches the kernel as one ``concat_blocks`` table, so a rowless
+    input may have no columns."""
+    if not fits_broadcast(sum(ds.size_bytes() for ds in inputs)):
+        return None
+    refs = [block_refs(ds) for ds in inputs]
+    # block refs passed as top-level arguments are fetched by Ray itself
+    out = _gathered_task.remote(kernel, [len(r) for r in refs], *(x for r in refs for x in r))
+    return ray.data.from_arrow_refs(out)
 
 
 def worker_cached(key, build):

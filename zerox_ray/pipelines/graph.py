@@ -8,12 +8,15 @@ Scale design:
   compiled pattern per worker, findall per row — the payload is opaque
   bytes, same posture as the splitter);
 - the edge list — O(links), tiny next to the payload bytes — is
-  ``materialize()``d once in the object store and re-scanned per
-  PageRank round;
-- each round is ONE partitioned hash join (ranks ⋈ edges on src) + ONE
-  grouped sum keyed on dst + a union with the node table for dangling
-  receivers — rank state never lands on the driver (unlike k-means, the
-  state here is O(nodes), so broadcast is NOT an option);
+  ``materialize()``d once in the object store;
+- while a loop's materialized state passes the broadcast gate
+  (``agg.gathered``), kcore and the PageRank family run their whole
+  fixed point in ONE Ray task on int64 keys — on a small graph the
+  per-round barriers below cost more than the graph;
+- above the gate each PageRank round is ONE partitioned hash join
+  (ranks ⋈ edges on src) + ONE grouped sum keyed on dst + a union with
+  the node table for dangling receivers — rank state never lands on
+  the driver on either path;
 - all arithmetic is integer (rank quantized at 1e6, floor divisions),
   so a fixed-iteration DuckDB oracle replays every round bit-for-bit.
 
@@ -46,6 +49,7 @@ from zerox_ray.pipelines.agg import (
     bucketed_group_map,
     cached_get,
     coalesce_width,
+    gathered,
     shuffle_width,
 )
 from zerox_ray.sources.pages import read_pages
@@ -728,26 +732,22 @@ def component_sizes(
     )
 
 
-def _pagerank_state(
+def _pagerank_keys(
     ds: ray.data.Dataset,
     prefix: str,
     edges: ray.data.Dataset | None,
-) -> tuple[ray.data.Dataset, ray.data.Dataset, ray.data.Dataset, int, int]:
-    """Shared int-key state for the PageRank-family iterative loops:
-    (nodes, edges_deg, zeros, n_parts, n_buckets).
+) -> tuple[ray.data.Dataset, ray.data.Dataset]:
+    """The PageRank family's int-key inputs, both materialized: nodes
+    (k, url), one row per page row, and the edge keys (sk, dk), one row
+    per link occurrence.
 
     Everything iterative runs on int64 url-keys: urls are hashed ONCE
-    at the edges (63-bit md5), shuffled as 8-byte ints through every
-    round, and joined back to strings once at the end. The first
-    version carried url strings through each round and re-md5'd them
-    per round; worse, each round's output block count compounded
-    (64→640 blocks over 3 rounds at 5k nodes) so round wall time grew
-    10→57 s. Int keys + a per-round coalesce hold it flat.
-
-    ``zeros`` is one (k, c=0) row per node — unioned into each round's
-    grouped sum so dangling receivers emit without a second shuffle."""
-    from zerox_ray.pipelines.relational import hash_join
-
+    at the edges (63-bit md5) and joined back to strings once at the
+    end. ``ekeys`` is materialized because the loop (gathered or in
+    rounds) reads it more than once, and an unmaterialized plan
+    re-executes per consumer — i.e. re-reads and re-regexes every
+    payload. The int-key edge list is O(links) — tiny next to the
+    payload bytes."""
     nodes = ds.select_columns(["url"]).map_batches(
         lambda t: pa.table(
             {
@@ -757,10 +757,6 @@ def _pagerank_state(
         ),
         batch_format="pyarrow",
     ).materialize()
-    # materialized ONCE: ekeys feeds two consumers (the outdeg partials
-    # and the edges_deg join), and an unmaterialized plan re-executes per
-    # consumer — i.e. re-reads and re-regexes every payload. The int-key
-    # edge list is O(links) — tiny next to the payload bytes.
     ekeys = (link_graph(ds, prefix) if edges is None else edges).map_batches(
         lambda t: pa.table(
             {
@@ -770,6 +766,78 @@ def _pagerank_state(
         ),
         batch_format="pyarrow",
     ).materialize()
+    return nodes, ekeys
+
+
+def _int64s(t: pa.Table, col: str) -> np.ndarray:
+    """``t[col]`` as int64 numpy; a rowless gathered input may carry no
+    columns."""
+    if not t.num_rows:
+        return np.array([], np.int64)
+    return t[col].to_numpy().astype(np.int64, copy=False)
+
+
+def _rank_fixed_point(iters: int, seed_keys: np.ndarray | None):
+    """The PageRank family's whole loop as one ``agg.gathered`` kernel
+    over (nodes, ekeys): ``pagerank`` when ``seed_keys`` is None, else
+    ``personalized_pagerank`` (base term and r0 for seed keys only).
+    Integer-exact (int64 ``np.add.at`` and floor division), and it
+    replays ``_rank``'s round multisets exactly: a key's rank rows start
+    as its page rows (a duplicated page row doubles its round-1
+    contributions and its output rows, as in the round joins) and are
+    one row per key after a round; duplicate edges count in outdeg; zero
+    contributions are not sent; a key holds a row only while it is a
+    node or was sent a contribution, and keys outside the corpus drop at
+    the final join."""
+    base = (PR_DAMP_DEN - PR_DAMP_NUM) * PR_SCALE // PR_DAMP_DEN  # (1-d)·S
+
+    def run(nodes: pa.Table, ekeys: pa.Table) -> pa.Table:
+        if not nodes.num_rows:
+            return pa.table(
+                {"url": pa.array([], pa.string()), "rank": pa.array([], pa.int64())}
+            )
+        nk, sk, dk = _int64s(nodes, "k"), _int64s(ekeys, "sk"), _int64s(ekeys, "dk")
+        keys = np.unique(np.concatenate([nk, sk, dk]))
+        ni, si, di = (np.searchsorted(keys, a) for a in (nk, sk, dk))
+        is_node = np.zeros(len(keys), bool)
+        is_node[ni] = True
+        outdeg = np.zeros(len(keys), np.int64)
+        np.add.at(outdeg, si, 1)
+        seeded = np.ones(len(keys), bool) if seed_keys is None else np.isin(keys, seed_keys)
+        mult = np.zeros(len(keys), np.int64)  # rank rows per key
+        np.add.at(mult, ni, 1)
+        r = np.where(seeded, np.int64(PR_SCALE), np.int64(0))
+        for _ in range(iters):
+            c = r[si] // outdeg[si]
+            sent = (mult[si] > 0) & (c > 0)
+            acc = np.zeros(len(keys), np.int64)
+            np.add.at(acc, di[sent], mult[si][sent] * c[sent])
+            held = is_node.copy()
+            held[di[sent]] = True
+            mult = held.astype(np.int64)
+            b = np.where(held & seeded, np.int64(base), np.int64(0))
+            r = b + PR_DAMP_NUM * acc // PR_DAMP_DEN
+        rows = np.repeat(np.arange(len(nk)), mult[ni])
+        return pa.table(
+            {"url": nodes["url"].take(rows), "rank": pa.array(r[ni][rows], pa.int64())}
+        )
+
+    return run
+
+
+def _pagerank_state(
+    nodes: ray.data.Dataset, ekeys: ray.data.Dataset
+) -> tuple[ray.data.Dataset, ray.data.Dataset, int, int]:
+    """The PageRank family's round-path state, above the gather gate:
+    (edges_deg, zeros, n_parts, n_buckets). The first version carried
+    url strings through each round and re-md5'd them per round; worse,
+    each round's output block count compounded (64→640 blocks over 3
+    rounds at 5k nodes) so round wall time grew 10→57 s. Int keys + a
+    per-round coalesce hold it flat.
+
+    ``zeros`` is one (k, c=0) row per node — unioned into each round's
+    grouped sum so dangling receivers emit without a second shuffle."""
+    from zerox_ray.pipelines.relational import hash_join
 
     # (sk, outdeg) — per-batch combiner then one grouped sum
     outdeg = bucketed_group_agg(
@@ -805,7 +873,7 @@ def _pagerank_state(
         .repartition(n_parts)
         .materialize()
     )
-    return nodes, edges_deg, zeros, n_parts, n_buckets
+    return edges_deg, zeros, n_parts, n_buckets
 
 
 def pagerank(
@@ -825,83 +893,17 @@ def pagerank(
     ``edges``: optional pre-extracted (src, dst) edge table — pass
     ``link_graph(...).materialize()`` when another consumer shares the
     graph (crawl_frontier does) so the payload bytes are regex-scanned
-    exactly once per query."""
-    from zerox_ray.pipelines.relational import hash_join
+    exactly once per query.
 
-    ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
-    nodes, edges_deg, zeros, n_parts, n_buckets = _pagerank_state(ds, prefix, edges)
-    base = (PR_DAMP_DEN - PR_DAMP_NUM) * PR_SCALE // PR_DAMP_DEN  # (1-d)·S
-
-    ranks = (
-        nodes.map_batches(
-            lambda t: pa.table({"sk": t["k"], "r": pa.array([PR_SCALE] * t.num_rows, pa.int64())}),
-            batch_format="pyarrow",
-        )
-        .repartition(n_parts)
-        .materialize()
-    )
-
-    for _ in range(iters):
-        joined = hash_join(edges_deg, ranks, on="sk", num_buckets=n_buckets)
-        # emit clean Arrow (no pandas schema metadata): contribs unions
-        # with the Arrow zeros table into the grouped-sum shuffle, and a
-        # metadata-bearing schema is unhashable — Ray then logs a
-        # "Failed to hash the schemas" warning per reduce concat and
-        # re-ships the schema per block
-        contribs = joined.map_batches(
-            lambda df: pa.table(
-                {
-                    "k": pa.array(df["dk"].to_numpy(np.int64)),
-                    "c": pa.array(
-                        df["r"].to_numpy(np.int64)
-                        // df["outdeg"].to_numpy(np.int64)
-                    ),
-                }
-            ),
-            batch_format="pandas",
-        )
-        # one exchange: dangling receivers ride in as zero rows so the
-        # grouped sum emits every node (the old two-agg version paid a
-        # second full shuffle just to union the zeros)
-        total = bucketed_group_agg(
-            contribs.union(zeros), ["k"], {"c": ("c", "sum")},
-            num_buckets=n_buckets,
-        )
-        ranks = (
-            total.map_batches(
-                lambda t: pa.table(
-                    {
-                        "sk": t["k"],
-                        "r": pa.array(
-                            (
-                                base
-                                + PR_DAMP_NUM
-                                * t["c"].to_numpy(zero_copy_only=False)
-                                // PR_DAMP_DEN
-                            ).astype(np.int64)
-                        ),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-            .repartition(n_parts)
-            .materialize()
-        )
-
-    final = hash_join(
-        ranks.map_batches(
-            lambda t: pa.table({"k": t["sk"], "r": t["r"]}),
-            batch_format="pyarrow",
-        ),
-        nodes,
-        on="k",
-    )
-    return final.map_batches(
-        lambda df: pd.DataFrame(
-            {"url": df["url"].astype(object), "rank": df["r"].astype("int64")}
-        ),
-        batch_format="pandas",
-    )
+    Scale shape: nodes (k, url) and edge keys (sk, dk) materialize once
+    (``_pagerank_keys``). While they pass the ``agg.gathered`` gate, the
+    whole fixed point and the final url join run in ONE Ray task
+    (``_rank_fixed_point``): three Ray executions in all, no exchange.
+    Above the gate each round is ONE partitioned hash join (ranks ⋈
+    edges_deg on sk) + ONE grouped sum keyed on dst, unioned with a zero
+    row per node for dangling receivers; rank state stays in the object
+    store, coalesced per round. Both paths emit identical rows."""
+    return _rank(pages, iters, prefix, edges, None)
 
 
 def personalized_pagerank(
@@ -925,27 +927,47 @@ def personalized_pagerank(
     unreachable from the seeds hold rank 0 (the distillation filter
     ``rank > 0`` is then shuffle-free).
 
-    Scale shape: identical to ``pagerank`` — per round ONE partitioned
-    hash join + ONE grouped sum over int64 url-keys, state in the
-    object store; the seed set is a workload input (trusted lists are
-    small), shipped ONCE via ``ray.put`` and probed with a vectorized
-    ``np.isin`` when the per-round base term is added. Zero-valued
-    contributions are dropped before the exchange, so early rounds
-    shuffle O(reached frontier) rows, not O(edges)."""
-    import ray as _ray
+    Scale shape: identical to ``pagerank`` — below the ``agg.gathered``
+    gate the same one-task kernel runs the loop, with the seed keys in
+    its closure; above it, per round ONE partitioned hash join + ONE
+    grouped sum over int64 url-keys, state in the object store. The
+    seed set is a workload input (trusted lists are small), shipped
+    ONCE via ``ray.put`` and probed with a vectorized ``np.isin`` when
+    the per-round base term is added. Zero-valued contributions are
+    dropped before the exchange, so early rounds shuffle O(reached
+    frontier) rows, not O(edges)."""
+    seed_keys = np.sort(_h63(list(seeds))) if seeds else np.array([], np.int64)
+    return _rank(pages, iters, prefix, edges, seed_keys)
 
+
+def _rank(
+    pages: ray.data.Dataset | str,
+    iters: int,
+    prefix: str,
+    edges: ray.data.Dataset | None,
+    seed_keys: np.ndarray | None,
+) -> ray.data.Dataset:
+    """The PageRank family's loop, shared by ``pagerank`` (``seed_keys``
+    None: every key is seeded) and ``personalized_pagerank``: the
+    gathered kernel below the gate, the rounds above it."""
     from zerox_ray.pipelines.relational import hash_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
-    nodes, edges_deg, zeros, n_parts, n_buckets = _pagerank_state(ds, prefix, edges)
+    nodes, ekeys = _pagerank_keys(ds, prefix, edges)
+    small = gathered(_rank_fixed_point(iters, seed_keys), nodes, ekeys)
+    if small is not None:
+        return small
+    edges_deg, zeros, n_parts, n_buckets = _pagerank_state(nodes, ekeys)
     base = (PR_DAMP_DEN - PR_DAMP_NUM) * PR_SCALE // PR_DAMP_DEN  # (1-d)·S
-    seed_keys = np.sort(_h63(list(seeds))) if seeds else np.array([], np.int64)
-    seed_ref = _ray.put(seed_keys)
+    everyone = seed_keys is None
+    seed_ref = ray.put(seed_keys)
+
+    def seeded(k: np.ndarray) -> np.ndarray:
+        return np.ones(len(k), bool) if everyone else np.isin(k, ray.get(seed_ref))
 
     def init_ranks(t: pa.Table) -> pa.Table:
-        sk = _ray.get(seed_ref)
         k = t["k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = np.where(np.isin(k, sk), np.int64(PR_SCALE), np.int64(0))
+        r = np.where(seeded(k), np.int64(PR_SCALE), np.int64(0))
         return pa.table({"sk": pa.array(k), "r": pa.array(r)})
 
     ranks = (
@@ -955,9 +977,12 @@ def personalized_pagerank(
     )
 
     def contrib(df: pd.DataFrame) -> pa.Table:
-        # clean Arrow out (unions with the Arrow zeros table — see
-        # pagerank); zero contributions carry no mass, drop them here so
-        # sparse early rounds exchange only the reached frontier
+        # clean Arrow out: it unions with the Arrow zeros table into the
+        # grouped-sum shuffle, and a metadata-bearing schema is unhashable
+        # (Ray then logs a "Failed to hash the schemas" warning per reduce
+        # concat and re-ships the schema per block). Zero contributions
+        # carry no mass: dropping them here makes sparse early rounds
+        # exchange only the reached frontier
         c = df["r"].to_numpy(np.int64) // df["outdeg"].to_numpy(np.int64)
         m = c > 0
         return pa.table(
@@ -968,10 +993,9 @@ def personalized_pagerank(
         )
 
     def renorm(t: pa.Table) -> pa.Table:
-        sk = _ray.get(seed_ref)
         k = t["k"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = np.where(np.isin(k, sk), np.int64(base), np.int64(0))
+        b = np.where(seeded(k), np.int64(base), np.int64(0))
         return pa.table(
             {
                 "sk": pa.array(k),
@@ -981,6 +1005,8 @@ def personalized_pagerank(
 
     for _ in range(iters):
         joined = hash_join(edges_deg, ranks, on="sk", num_buckets=n_buckets)
+        # one exchange: dangling receivers ride in as zero rows so the
+        # grouped sum emits every node
         total = bucketed_group_agg(
             joined.map_batches(contrib, batch_format="pandas").union(zeros),
             ["k"],
@@ -1232,6 +1258,58 @@ KCORE_K = 4  # default core order; removals cascade for rounds (tested)
 KCORE_ROUNDS = 3  # fixed peel rounds — the SQL mirror unrolls exactly 3
 
 
+_KCORE_EMPTY = pa.table(
+    {"url": pa.array([], pa.string()), "degree": pa.array([], pa.int64())}
+)
+
+
+def _group_starts(*cols: np.ndarray) -> np.ndarray:
+    """Row indices where a run of equal keys starts in columns sorted
+    on those keys (at least one row)."""
+    new = np.zeros(len(cols[0]), bool)
+    new[0] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def _kcore_peel(k: int, rounds: int):
+    """kcore's whole loop as one ``agg.gathered`` kernel over the
+    oriented rows (ak, bk, a_url, n): the global (ak, bk) de-dupe keeping
+    the max a_url, then ``rounds`` peels with the round path's early
+    exit, then the (url, degree) group — in Arrow sorts and numpy on
+    int64 keys, output-identical to the rounds."""
+
+    def peel(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return _KCORE_EMPTY
+        order = [("ak", "ascending"), ("bk", "ascending"), ("a_url", "descending")]
+        t = t.select(["ak", "bk", "a_url"]).sort_by(order)
+        ak = t["ak"].to_numpy()
+        bk = t["bk"].to_numpy()
+        rows = _group_starts(ak, bk)
+        for _ in range(rounds):
+            nodes, inv, deg = np.unique(ak[rows], return_inverse=True, return_counts=True)
+            alive = deg >= k
+            kept = alive[inv] & np.isin(bk[rows], nodes[alive])
+            done = int(kept.sum()) in (0, len(rows))
+            rows = rows[kept]
+            if done:
+                break
+        if not len(rows):
+            return _KCORE_EMPTY
+        out = t.take(rows).sort_by([("ak", "ascending"), ("a_url", "descending")])
+        starts = _group_starts(out["ak"].to_numpy())
+        return pa.table(
+            {
+                "url": out["a_url"].take(starts),
+                "degree": pa.array(np.diff(np.append(starts, out.num_rows)), pa.int64()),
+            }
+        )
+
+    return peel
+
+
 def kcore(
     pages: ray.data.Dataset | str,
     k: int = KCORE_K,
@@ -1250,16 +1328,21 @@ def kcore(
     the same loop with a convergence bound; the early-exit below
     already makes converged graphs free.
 
-    Scale shape: the directed edge list is symmetrized and de-duped via
-    ONE (a, b)-key grouped distinct (orientation rows carry the source
-    url so output needs no extra join); each round is ONE slim
-    (key, degree) grouped exchange, then the survivor key set restricts
-    both endpoints of E through two semi ``relational.lookup_join``
-    calls (a broadcast while the set fits, partitioned joins above it;
-    both paths pinned output-identical in pytest) — per-round cost O(m)
-    like PageRank, state in the object store, per-round coalesce. A
-    round that removes nothing ends the loop (every later round is a
-    no-op by definition).
+    Scale shape: the directed edge list is symmetrized per batch into
+    oriented rows (ak, bk, a_url) — orientation rows carry the source url
+    so output needs no extra join — and materialized once. While those
+    rows pass the ``agg.gathered`` gate the whole query (the global
+    (ak, bk) de-dupe, every peel and the (url, degree) group) runs in
+    ONE Ray task on int64 keys (``_kcore_peel``): two Ray executions in
+    all, where the rounds below pay a barrier per round. Above the gate
+    the de-dupe is ONE (ak, bk)-key grouped distinct, and each round is
+    ONE slim (key, degree) grouped exchange, then the survivor key set
+    restricts both endpoints of E through two semi
+    ``relational.lookup_join`` calls (a broadcast while the set fits,
+    partitioned joins above it) — per-round cost O(m) like PageRank,
+    state in the object store, per-round coalesce. All three paths are
+    pinned output-identical in pytest. A round that removes nothing ends
+    the loop (every later round is a no-op by definition).
 
     Output: (url, degree) for nodes with ≥ 1 induced edge after the
     final restriction — degree is counted in the surviving subgraph."""
@@ -1280,23 +1363,21 @@ def kcore(
         df["n"] = np.int64(1)
         return df[["ak", "bk", "a_url", "n"]]
 
+    oriented = raw.map_batches(orient, batch_format="pyarrow").materialize()
+    small = gathered(_kcore_peel(k, rounds), oriented)
+    if small is not None:
+        return small
+
     # global orientation de-dupe: ONE (ak, bk) grouped reduce; a_url
     # rides along (all rows in a group share it — 63-bit key contract)
     E = bucketed_group_agg(
-        raw.map_batches(orient, batch_format="pyarrow"),
+        oriented,
         ["ak", "bk"],
         {"a_url": ("a_url", "max"), "n": ("n", "max")},
     ).materialize()
 
     if E.count() == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "degree": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return ray.data.from_arrow(_KCORE_EMPTY)
 
     n_buckets = shuffle_width(E.count())
 
@@ -1353,12 +1434,7 @@ def kcore(
 
     def project(df: pd.DataFrame):
         if len(df) == 0 or "url" not in df.columns:
-            return pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "degree": pa.array([], pa.int64()),
-                }
-            )
+            return _KCORE_EMPTY
         return pd.DataFrame(
             {
                 "url": df["url"].astype(object),

@@ -44,8 +44,10 @@ from ray.data.block import BlockAccessor
 from zerox_ray.sources.tables import read_table
 from zerox_ray.pipelines.agg import (
     _bucket_ids,
+    block_refs,
     bucketed_group_agg,
     bucketed_group_map,
+    concat_blocks,
     fits_broadcast,
     shuffle_width,
     worker_cached,
@@ -443,20 +445,11 @@ def lookup_join(
             right = rename_columns(right, rename)
         return hash_join(left, right, on, num_buckets=num_buckets, how=how)
 
-    refs = [ref for b in right.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    refs = block_refs(right)
     key = ("lookup", on, right_on, how, *(ref.hex() for ref in refs))
 
     def gather() -> tuple[pd.DataFrame, pa.Schema]:
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
-        # a rowless block may carry no schema (a group exchange over an
-        # empty bucket emits one) and would break the concat
-        keep = [t for t in tables if t.num_rows] or [
-            t for t in tables if t.num_columns
-        ][:1]
-        t = pa.concat_tables(
-            [t.replace_schema_metadata(None) for t in keep],
-            promote_options="permissive",
-        )
+        t = concat_blocks(ray.get(refs))
         t = t.rename_columns([rename.get(c, c) for c in t.column_names])
         return _right_side(t, on, how), t.schema
 
