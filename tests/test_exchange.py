@@ -169,6 +169,13 @@ def test_gathered_runs_one_task_over_every_block(monkeypatch):
     out = agg.gathered(kernel, a, b)
     assert out.num_blocks() == 1
     assert out.to_pandas().to_dict("list") == {"s": [6], "n": [0]}
+    # the bound is on the inputs' summed block bytes, inclusive
+    nbytes = a.size_bytes() + b.size_bytes()
+    monkeypatch.setattr(agg, "GATHER_MAX_BYTES", nbytes)
+    assert agg.gathered(kernel, a, b) is not None
+    monkeypatch.setattr(agg, "GATHER_MAX_BYTES", nbytes - 1)
+    assert agg.gathered(kernel, a, b) is None
+    monkeypatch.undo()
     monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     assert agg.gathered(kernel, a, b) is None
 

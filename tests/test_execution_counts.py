@@ -6,7 +6,7 @@
 the record means the plan gained a barrier (a materialize, a count or a
 pull). The queries rerun here are the fast ones that go through the
 keyed exchange (the per-user events queries and the dedup pair queries)
-and the fixed points that run in one gathered task below the broadcast
+and the fixed points that run in one gathered task below the gathered
 gate (kcore and the PageRank family), where a count above the record
 means the loop fell back to its per-round barriers.
 """

@@ -20,8 +20,10 @@ Parts:
   picks the path; a test forces the join path by monkeypatching the
   constant to -1. (dedup's pair-verify stages also gate a whole-file
   broadcast on it.)
-- ``gathered`` — the same gate over a whole loop's state: while the
-  materialized inputs' summed bytes pass ``fits_broadcast``, ONE Ray
+- ``GATHER_MAX_BYTES`` / ``gathered`` — the gate over a whole loop's
+  state: while the materialized inputs' summed bytes pass
+  ``fits_broadcast`` and stay within ``GATHER_MAX_BYTES`` (128 MiB, set
+  from measured runs: one core and no memory reservation), ONE Ray
   task concatenates each input (``concat_blocks``, shared with
   ``lookup_join``'s broadcast) and runs a kernel over them; above it the
   caller runs its distributed rounds. ``graph.kcore`` and the PageRank
@@ -86,6 +88,16 @@ from zerox_ray.functions.hashing import crc32_array
 #: broadcast gate: state up to this many bytes ships once; above it the
 #: partitioned hash join is the path
 BROADCAST_MAX_BYTES = 1 << 30
+
+#: gathered gate: a fixed point whose materialized state passes
+#: ``fits_broadcast`` and is at most this many bytes runs its whole loop
+#: in one task (one core, no memory reservation); above it the
+#: distributed rounds. Measured on 4 CPUs over replicated sf0.1 corpora,
+#: the one task won at every size tried (kcore 3.7x at 190 MB of state,
+#: pagerank 8.7x at 28 MB), and the kernel's working memory grew to
+#: 1.6-2.9x its Arrow input (0.7 GB resident at 118 MB of PageRank
+#: state), so the bound sits within the sizes measured
+GATHER_MAX_BYTES = 1 << 27
 
 #: per-worker cache cap: each entry may hold a materialized broadcast
 #: (a corpus copy, a model), so a worker keeps at most this many
@@ -152,12 +164,14 @@ def _gathered_task(kernel, counts: list[int], *blocks) -> pa.Table:
 def gathered(kernel, *inputs: ray.data.Dataset) -> ray.data.Dataset | None:
     """``kernel(*tables) -> pa.Table`` run in ONE Ray task over the whole
     of each materialized input, when their summed block bytes (Ray's
-    block metadata, no extra pass) pass ``fits_broadcast``; the result is
+    block metadata, no extra pass) pass ``fits_broadcast`` and
+    ``GATHER_MAX_BYTES``; the result is
     a one-block dataset and never lands on the driver. Returns None
     above the gate: the caller then runs its distributed rounds. Each
     input reaches the kernel as one ``concat_blocks`` table, so a rowless
     input may have no columns."""
-    if not fits_broadcast(sum(ds.size_bytes() for ds in inputs)):
+    nbytes = sum(ds.size_bytes() for ds in inputs)
+    if not fits_broadcast(nbytes) or nbytes > GATHER_MAX_BYTES:
         return None
     refs = [block_refs(ds) for ds in inputs]
     # block refs passed as top-level arguments are fetched by Ray itself

@@ -9,8 +9,8 @@ Scale design:
   bytes, same posture as the splitter);
 - the edge list — O(links), tiny next to the payload bytes — is
   ``materialize()``d once in the object store;
-- while a loop's materialized state passes the broadcast gate
-  (``agg.gathered``), kcore and the PageRank family run their whole
+- while a loop's materialized state passes the gathered gate
+  (``agg.gathered``, up to ``agg.GATHER_MAX_BYTES``), kcore and the PageRank family run their whole
   fixed point in ONE Ray task on int64 keys — on a small graph the
   per-round barriers below cost more than the graph;
 - above the gate each PageRank round is ONE partitioned hash join
@@ -1375,6 +1375,8 @@ def kcore(
         ["ak", "bk"],
         {"a_url": ("a_url", "max"), "n": ("n", "max")},
     ).materialize()
+    # release the oriented rows: the rounds read only E
+    del oriented
 
     if E.count() == 0:
         return ray.data.from_arrow(_KCORE_EMPTY)
