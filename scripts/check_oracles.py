@@ -10,7 +10,8 @@ Usage: python scripts/check_oracles.py [sf_dir] [query ...] [--json PATH]
 ``--json PATH`` writes one record per query: ``wall_s`` (the Ray side,
 plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
 ``executions`` (calls of ``StreamingExecutor.execute``, which is what
-every materialize, count or pull of a lazy plan runs), ``rows`` and
+every materialize, count or pull of a lazy plan runs), ``all_to_all``
+(the all-to-all operators in the plans those calls ran), ``rows`` and
 ``match`` (``"match"``, ``"mismatch"`` or ``"rows-only"``).
 
 The sweep refuses to start (exit 2) while a ``raylet`` runs on the box:
@@ -70,16 +71,31 @@ def compare(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> list[str]:
 
 
 def _count_executions() -> list[int]:
-    """Count ``StreamingExecutor.execute`` calls in this process; the
-    returned one-item list holds the running total."""
+    """Count ``StreamingExecutor.execute`` calls in this process and the
+    all-to-all operators (Ray's sorts, groupbys and repartitions) in the
+    plans they run; the returned two-item list holds the running totals
+    ``[executions, all_to_all]``."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    calls = [0]
+    calls = [0, 0]
     orig = StreamingExecutor.execute
 
-    def execute(self, *args, **kwargs):
+    def all_to_all(dag) -> int:
+        ops, todo = {}, [dag]
+        while todo:
+            op = todo.pop()
+            if id(op) not in ops:
+                ops[id(op)] = op
+                todo.extend(op.input_dependencies)
+        return sum(isinstance(op, AllToAllOperator) for op in ops.values())
+
+    def execute(self, dag, *args, **kwargs):
         calls[0] += 1
-        return orig(self, *args, **kwargs)
+        calls[1] += all_to_all(dag)
+        return orig(self, dag, *args, **kwargs)
 
     StreamingExecutor.execute = execute
     return calls
@@ -156,11 +172,12 @@ def main() -> int:
         if only and name not in only:
             continue
         sql = oracles.get(name)
-        before, t0 = executions[0], time.perf_counter()
+        before, t0 = list(executions), time.perf_counter()
         got = _to_pandas(fn(sf_dir))
         records[name] = {
             "wall_s": round(time.perf_counter() - t0, 3),
-            "executions": executions[0] - before,
+            "executions": executions[0] - before[0],
+            "all_to_all": executions[1] - before[1],
             "rows": len(got),
             "match": "rows-only",
         }

@@ -173,6 +173,23 @@ def test_top_ngrams_deterministic_order(sf_dir):
     assert (a.n_occurrences.diff().dropna() <= 0).all()
 
 
+def test_top_ngrams_matches_replay(sf_dir):
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from zerox_ray.functions.text import TOKEN_RE
+    from zerox_ray.pipelines.dataops import top_ngrams
+
+    got = top_ngrams(sf_dir).to_pandas()
+    c: Counter = Counter()
+    for text in pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"])["text"].to_pylist():
+        toks = TOKEN_RE.findall(text)
+        c.update(" ".join(toks[i : i + 2]) for i in range(len(toks) - 1))
+    want = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:20]
+    assert list(zip(got.ngram, got.n_occurrences)) == want
+
+
 class TestPiiScrub:
     def test_scrub_batch_cases(self):
         from zerox_ray.pipelines.dataops import scrub_pii_batch

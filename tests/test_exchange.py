@@ -1,6 +1,7 @@
 """The exchange layer (pipelines/agg.py): bucket tag, shuffle width,
-broadcast gate, gathered-state gate and the bounded per-worker cache;
-and the broadcast-or-join ``relational.lookup_join`` built on them."""
+broadcast gate, gathered-state gate, the bounded per-worker cache and
+the bounded driver pull; and the broadcast-or-join
+``relational.lookup_join`` built on them."""
 
 import uuid
 import zlib
@@ -178,6 +179,13 @@ def test_gathered_runs_one_task_over_every_block(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
     assert agg.gathered(kernel, a, b) is None
+
+
+def test_collect_bounded_raises_one_row_over_its_bound():
+    ds = ray.data.from_pandas([pd.DataFrame({"x": range(i, i + 4)}) for i in (0, 4, 8)])
+    assert sorted(agg.collect_bounded(ds, 12, "probe pull")["x"]) == list(range(12))
+    with pytest.raises(ValueError, match="probe pull"):
+        agg.collect_bounded(ds, 11, "probe pull")
 
 
 def _rows(ds: ray.data.Dataset) -> tuple[list[str], list[tuple]]:

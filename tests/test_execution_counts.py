@@ -8,7 +8,8 @@ pull). The queries rerun here are the fast ones that go through the
 keyed exchange (the per-user events queries and the dedup pair queries)
 and the fixed points that run in one gathered task below the gathered
 gate (kcore and the PageRank family), where a count above the record
-means the loop fell back to its per-round barriers.
+means the loop fell back to its per-round barriers, and
+``shipping_priority``, whose one exchange is also counted by operator.
 """
 
 import json
@@ -41,6 +42,7 @@ QUERIES = [
     "pagerank",
     "personalized_pagerank",
     "host_rank",
+    "shipping_priority",
 ]
 
 
@@ -71,3 +73,14 @@ def test_executions_at_most_recorded(name, sf_dir, record, executions):
     assert got <= record[name]["executions"], (
         f"{name}: {got} Ray executions, recorded {record[name]['executions']}"
     )
+
+
+def test_shipping_priority_runs_one_all_to_all_below_the_gate(sf_dir, executions):
+    """Below the broadcast gate the kept orders ship once, so the bucket
+    reduce on ``l_orderkey`` is the query's only all-to-all: no join
+    exchange, no schema probe and no global sort."""
+    import __ray_entry__ as e
+
+    before = list(executions)
+    _to_pandas(e.queries()["shipping_priority"](sf_dir))
+    assert executions[1] - before[1] == 1

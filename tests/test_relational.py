@@ -784,39 +784,129 @@ class TestSessionAttribution:
         assert have == want
 
 
+def _shipping_replay(sf_dir: str, segment: str = "BUILDING") -> pd.DataFrame:
+    """Q3 in plain pandas: the reference ``shipping_priority`` must equal."""
+    cust = pq.read_table(f"{sf_dir}/customer.parquet").to_pandas()
+    orders = pq.read_table(f"{sf_dir}/orders.parquet").to_pandas()
+    li = pq.read_table(f"{sf_dir}/lineitem.parquet").to_pandas()
+    cutoff = pd.Timestamp("1998-06-01")
+    keys = set(cust[cust.c_mktsegment == segment].c_custkey)
+    o = orders[(orders.o_custkey.isin(keys)) & (orders.o_orderdate < cutoff)]
+    l = li[li.l_shipdate > cutoff].copy()
+    l["rm"] = np.floor(l.l_extendedprice * 100).astype("int64") * (
+        10_000 - np.floor(l.l_discount * 10_000).astype("int64")
+    )
+    j = l.merge(o, left_on="l_orderkey", right_on="o_orderkey")
+    return (
+        j.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"], as_index=False)
+        .agg(revenue_micro=("rm", "sum"))
+        .sort_values(
+            ["revenue_micro", "o_orderdate", "l_orderkey"],
+            ascending=[False, True, True],
+        )
+        .head(10)
+        .reset_index(drop=True)
+    )
+
+
 class TestShippingPriority:
-    def test_matches_pandas_replay(self, sf_dir):
-        import numpy as np
-        import pyarrow.parquet as pq
+    """``shipping_priority`` on its two lookup paths: the kept orders
+    broadcast (default) and ``hash_join`` (``BROADCAST_MAX_BYTES = -1``);
+    either way one bucket reduce keeps each bucket's top-k and the
+    driver merges them."""
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_matches_pandas_replay(self, sf_dir, path, monkeypatch):
+        from zerox_ray.pipelines import agg
+        from zerox_ray.pipelines.relational import shipping_priority
+
+        if path == "join":
+            monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+        got = shipping_priority(sf_dir).to_pandas().reset_index(drop=True)
+        want = _shipping_replay(sf_dir)
+        assert len(want) == 10
+        assert list(got.columns) == [
+            "l_orderkey", "o_orderdate_us", "o_orderpriority", "revenue_micro"
+        ]
+        assert list(got.l_orderkey) == list(want.l_orderkey)
+        assert list(got.revenue_micro) == list(want.revenue_micro)
+        assert list(got.o_orderpriority) == list(want.o_orderpriority)
+        assert (got.o_orderdate_us.to_numpy()
+                == want.o_orderdate.astype("int64").to_numpy()).all()
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_tie_at_kth_place_breaks_as_the_oracle(self, tmp_path, path, monkeypatch):
+        """Six orders tie on revenue across places 7-12, on orderkeys in
+        six different buckets: the kept four are the earliest dates, and
+        on an equal date the lower orderkey, as DuckDB's ORDER BY keeps
+        them."""
+        import duckdb
+        import pyarrow as pa
+
+        import __ray_entry__ as e
+        from zerox_ray.pipelines import agg
+        from zerox_ray.pipelines.relational import shipping_priority
+
+        if path == "join":
+            monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+        day = pd.Timestamp("1997-01-01")
+        top = [101, 102, 103, 104, 105, 106]  # distinct revenues, all above the tie
+        tied = [7, 24, 41, 58, 75, 92]
+        dates = [day + pd.Timedelta(days=d) for d in (3, 1, 1, 2, 1, 0)]
+        assert len({o % agg.shuffle_width() for o in tied}) == len(tied)
+        okeys = top + tied + [200]  # 200: an order of the other segment
+        pq.write_table(
+            pa.table({
+                "c_custkey": pa.array([1, 2], pa.int64()),
+                "c_mktsegment": ["BUILDING", "MACHINERY"],
+            }),
+            tmp_path / "customer.parquet",
+        )
+        pq.write_table(
+            pa.table({
+                "o_orderkey": pa.array(okeys, pa.int64()),
+                "o_custkey": pa.array([1] * 12 + [2], pa.int64()),
+                "o_orderdate": pa.array([day] * 6 + dates + [day], pa.timestamp("us")),
+                "o_orderpriority": [f"{o % 5 + 1}-P" for o in okeys],
+            }),
+            tmp_path / "orders.parquet",
+        )
+        price = [900.0 + i for i in range(6)] + [500.0] * 6 + [9999.0]
+        # two lineitems per order, so the revenue is a sum across batches
+        pq.write_table(
+            pa.table({
+                "l_orderkey": pa.array(okeys * 2, pa.int64()),
+                "l_extendedprice": [p / 2 for p in price] * 2,
+                "l_discount": [0.0] * 26,
+                "l_shipdate": pa.array(
+                    [pd.Timestamp("1998-07-01")] * 26, pa.timestamp("us")
+                ),
+            }),
+            tmp_path / "lineitem.parquet",
+        )
+        con = duckdb.connect()
+        for t in ("customer", "orders", "lineitem"):
+            con.execute(
+                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')"
+            )
+        want = con.execute(e.oracle_sql()["shipping_priority"]).df()
+        got = shipping_priority(str(tmp_path)).to_pandas()
+        assert list(want.l_orderkey) == [106, 105, 104, 103, 102, 101, 92, 24, 41, 75]
+        for c in want.columns:
+            assert list(got[c]) == list(want[c]), c
+
+    def test_empty_segment_is_typed_and_rowless(self, sf_dir):
+        import pyarrow as pa
 
         from zerox_ray.pipelines.relational import shipping_priority
 
-        got = shipping_priority(sf_dir).to_pandas().reset_index(drop=True)
-        cust = pq.read_table(f"{sf_dir}/customer.parquet").to_pandas()
-        orders = pq.read_table(f"{sf_dir}/orders.parquet").to_pandas()
-        li = pq.read_table(f"{sf_dir}/lineitem.parquet").to_pandas()
-        cutoff = pd.Timestamp("1998-06-01")
-        keys = set(cust[cust.c_mktsegment == "BUILDING"].c_custkey)
-        o = orders[(orders.o_custkey.isin(keys)) & (orders.o_orderdate < cutoff)]
-        l = li[li.l_shipdate > cutoff].copy()
-        l["rm"] = np.floor(l.l_extendedprice * 100).astype("int64") * (
-            10_000 - np.floor(l.l_discount * 10_000).astype("int64")
-        )
-        j = l.merge(o, left_on="l_orderkey", right_on="o_orderkey")
-        agg = (
-            j.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"], as_index=False)
-            .agg(revenue_micro=("rm", "sum"))
-            .sort_values(
-                ["revenue_micro", "o_orderdate", "l_orderkey"],
-                ascending=[False, True, True],
-            )
-            .head(10)
-            .reset_index(drop=True)
-        )
-        assert list(got.l_orderkey) == list(agg.l_orderkey)
-        assert list(got.revenue_micro) == list(agg.revenue_micro)
-        assert (got.o_orderdate_us.to_numpy()
-                == agg.o_orderdate.astype("int64").to_numpy()).all()
+        ds = shipping_priority(sf_dir, segment="NO SUCH SEGMENT")
+        assert ds.count() == 0
+        schema = ds.schema()
+        assert list(schema.names) == [
+            "l_orderkey", "o_orderdate_us", "o_orderpriority", "revenue_micro"
+        ]
+        assert list(schema.types) == [pa.int64(), pa.int64(), pa.string(), pa.int64()]
 
 
 def test_conversion_paths_matches_replay(sf_dir):

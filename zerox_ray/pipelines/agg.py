@@ -1,6 +1,7 @@
 """The engine's exchange layer: the bucket tag, shuffle width, loop
 coalesce width, broadcast gate, gathered-state gate, per-worker
-broadcast cache and grouped exchanges the pipelines share.
+broadcast cache, grouped exchanges, bounded driver pull and top-k the
+pipelines share.
 
 Parts:
 
@@ -36,7 +37,17 @@ Parts:
   exchanges. Every keyed step that buckets rows and runs one
   vectorized kernel per bucket goes through ``bucketed_group_map``
   (a fixed ``num_buckets`` where a size bound depends on which keys
-  share a call, e.g. ``relational.N_USER_BUCKETS``).
+  share a call, e.g. ``relational.N_USER_BUCKETS``); ``group_agg`` is
+  ``bucketed_group_agg``'s per-bucket kernel;
+- ``collect_bounded`` — a driver pull with a stated row bound: one
+  execution that stops one row past the bound and raises, naming the
+  pull, instead of landing an unbounded table on the driver;
+- ``bucketed_top_k`` — the one top-k path: ONE exchange whose reduce
+  runs the caller's kernel (e.g. ``group_agg``) and keeps the bucket's
+  top-k, then a ``collect_bounded`` merge of the ≤ ``shuffle_width()·k``
+  partial rows on the driver, with no global sort.
+  ``relational.shipping_priority``, ``dataops.top_spenders`` and
+  ``dataops.top_ngrams`` take it.
 
 Exchanges that stay hand-written, and why:
 
@@ -230,6 +241,22 @@ def _bucketed(ds: ray.data.Dataset, key: str, body, num_buckets: int | None):
     return tagged.groupby("__b").map_groups(run, batch_format="pandas")
 
 
+def group_agg(
+    keys: list[str],
+    named_aggs: dict[str, tuple[str, str]],
+    dtypes: dict[str, str] | None = None,
+):
+    """The per-bucket kernel of ``bucketed_group_agg``: a pandas frame →
+    ``groupby(keys).agg(**named_aggs)``, cast to ``dtypes`` if given."""
+    aggs = {k: pd.NamedAgg(column=c, aggfunc=op) for k, (c, op) in named_aggs.items()}
+
+    def final(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby(list(keys), as_index=False).agg(**aggs)
+        return out.astype(dtypes) if dtypes else out
+
+    return final
+
+
 def bucketed_group_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -246,13 +273,7 @@ def bucketed_group_agg(
     already-partial rows) — the caller is responsible for emitting
     per-batch partials first when the op needs it (e.g. ``size`` → emit
     a count column and sum it here)."""
-    aggs = {k: pd.NamedAgg(column=c, aggfunc=op) for k, (c, op) in named_aggs.items()}
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(list(keys), as_index=False).agg(**aggs)
-        return out.astype(dtypes) if dtypes else out
-
-    return _bucketed(ds, keys[0], final, num_buckets)
+    return _bucketed(ds, keys[0], group_agg(keys, named_aggs, dtypes), num_buckets)
 
 
 def bucketed_group_map(
@@ -273,3 +294,52 @@ def bucketed_group_map(
     keys) where a size bound relies on it. The ``__b`` tag column is
     dropped before ``fn`` sees the rows."""
     return _bucketed(ds, key, fn, num_buckets)
+
+
+def collect_bounded(ds: ray.data.Dataset, max_rows: int, what: str) -> pd.DataFrame:
+    """``ds`` pulled to the driver as one pandas frame of at most
+    ``max_rows`` rows, in one Ray execution that stops after
+    ``max_rows + 1`` rows. A pull over the bound raises ``ValueError``
+    naming ``what``, instead of landing an unbounded table on the
+    driver."""
+    rows = ds.limit(max_rows + 1).to_pandas()
+    if len(rows) > max_rows:
+        raise ValueError(f"{what}: driver pull exceeds its bound of {max_rows} rows")
+    return rows
+
+
+def bucketed_top_k(
+    ds: ray.data.Dataset,
+    key: str,
+    kernel,
+    by: list[str],
+    ascending: list[bool],
+    k: int,
+    schema: pa.Schema,
+    what: str,
+) -> ray.data.Dataset:
+    """The first ``k`` rows of ``kernel``'s output in the order
+    ``sort_values(by, ascending)``, through ONE keyed exchange and a
+    bounded driver merge.
+
+    ``kernel`` is the per-bucket reduce (e.g. ``group_agg``): it gets
+    every row of each ``key`` in its bucket, as ``bucketed_group_map``
+    gives them, and each bucket keeps its own top ``k`` of its output.
+    The at most ``shuffle_width() * k`` partial rows are pulled through
+    ``collect_bounded`` (``what`` names the pull) and the global top
+    ``k`` is taken on the driver; the result is a one-block dataset
+    typed by ``schema`` (zero rows when the kernel emits none). ``by``
+    must order rows totally — its last column unique per output row —
+    so a tie at the k-th place breaks the same way in a bucket and on
+    the driver."""
+    n = shuffle_width()
+
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(by, ascending=ascending, kind="mergesort").head(k)
+
+    part = bucketed_group_map(ds, key, lambda g: top(kernel(g)), num_buckets=n)
+    rows = collect_bounded(part, n * k, what)
+    if rows.empty:
+        return ray.data.from_arrow(schema.empty_table())
+    table = pa.Table.from_pandas(top(rows), schema=schema, preserve_index=False)
+    return ray.data.from_arrow(table.replace_schema_metadata(None))

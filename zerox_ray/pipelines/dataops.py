@@ -28,7 +28,13 @@ import ray.data
 
 from zerox_ray.sources.tables import read_table
 from zerox_ray.functions.text import STOPWORD_RE, TOKEN_RE
-from zerox_ray.pipelines.agg import bucketed_group_agg, bucketed_group_map, cached_get
+from zerox_ray.pipelines.agg import (
+    bucketed_group_agg,
+    bucketed_group_map,
+    bucketed_top_k,
+    cached_get,
+    group_agg,
+)
 
 PPM = 1_000_000
 
@@ -348,14 +354,16 @@ def token_counts_bpe(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(_bpe_count_batch, batch_format="pandas")
 
 
-# --- top-k (sort + limit over a pre-aggregated groupby) ----------------------
+# --- top-k (one bucketed exchange over a pre-aggregated groupby) -----------
 
 
 def top_spenders(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     """Top-k customers by total order spend (cents). Pre-aggregates per
-    batch (combiner), groupby-sums, then a small global sort+limit —
-    the only globally-ordered step runs over |customers| rows, not
-    |orders|. Output: (o_custkey, total_cents)."""
+    batch (combiner), then ``bucketed_top_k``: one exchange on
+    ``o_custkey`` whose reduce sums each customer's partials and keeps
+    the bucket's top-k, and a driver merge of the ≤ shuffle_width()·k
+    partial rows, ordered (total DESC, custkey ASC). Output:
+    (o_custkey, total_cents)."""
     ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
@@ -372,13 +380,16 @@ def top_spenders(sf_dir: str, k: int = 10) -> ray.data.Dataset:
         )
         return out.astype({"total_cents": "int64"})
 
-    agg = bucketed_group_agg(
+    return bucketed_top_k(
         ds.map_batches(partial, batch_format="pandas"),
-        ["o_custkey"],
-        {"total_cents": ("total_cents", "sum")},
+        "o_custkey",
+        group_agg(["o_custkey"], {"total_cents": ("total_cents", "sum")}),
+        by=["total_cents", "o_custkey"],
+        ascending=[False, True],
+        k=k,
+        schema=pa.schema([("o_custkey", pa.int64()), ("total_cents", pa.int64())]),
+        what="top_spenders partial top-k",
     )
-    # deterministic tie-break: (-total, custkey)
-    return agg.sort(["total_cents", "o_custkey"], descending=[True, False]).limit(k)
 
 
 def quality_filter(
@@ -743,9 +754,11 @@ def repetition_scores(sf_dir: str) -> ray.data.Dataset:
 def top_ngrams(sf_dir: str, n: int = 2, k: int = 20) -> ray.data.Dataset:
     """Corpus-level most frequent n-grams — the canonical wordcount
     shape: per-batch partial Counter (one row per distinct n-gram per
-    batch), bucketed grouped sum (shuffle moves O(distinct n-grams)),
-    driver-free global top-k with a deterministic tie-break
-    (count DESC, ngram ASC). Output: (ngram, n_occurrences), k rows."""
+    batch), then ``bucketed_top_k``: one exchange on the n-gram whose
+    reduce sums the counts (shuffle moves O(distinct n-grams)) and keeps
+    the bucket's top-k, and a driver merge of the ≤ shuffle_width()·k
+    partial rows with a deterministic tie-break (count DESC, ngram ASC).
+    Output: (ngram, n_occurrences), k rows."""
     from collections import Counter
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -761,24 +774,16 @@ def top_ngrams(sf_dir: str, n: int = 2, k: int = 20) -> ray.data.Dataset:
         )
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
-    counts = bucketed_group_agg(
+    return bucketed_top_k(
         ds.map_batches(partials, batch_format="pandas"),
-        ["ngram"],
-        {"n_occurrences": ("n_occurrences", "sum")},
+        "ngram",
+        group_agg(["ngram"], {"n_occurrences": ("n_occurrences", "sum")}),
+        by=["n_occurrences", "ngram"],
+        ascending=[False, True],
+        k=k,
+        schema=pa.schema([("ngram", pa.string()), ("n_occurrences", pa.int64())]),
+        what="top_ngrams partial top-k",
     )
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(
-            ["n_occurrences", "ngram"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-
-    # per-block top-k partials, then one tiny final take: the full count
-    # table never leaves the cluster
-    part = counts.map_batches(local_topk, batch_format="pandas")
-    final = part.to_pandas().sort_values(
-        ["n_occurrences", "ngram"], ascending=[False, True], kind="mergesort"
-    ).head(k).reset_index(drop=True)
-    return ray.data.from_pandas(final)
 
 
 # --- PII scrubbing -----------------------------------------------------------

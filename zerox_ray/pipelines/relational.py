@@ -47,8 +47,10 @@ from zerox_ray.pipelines.agg import (
     block_refs,
     bucketed_group_agg,
     bucketed_group_map,
+    bucketed_top_k,
     concat_blocks,
     fits_broadcast,
+    group_agg,
     shuffle_width,
     worker_cached,
 )
@@ -1590,10 +1592,13 @@ def shipping_priority(
 
     Scale shape: segment custkeys are the tiny side — broadcast ONCE,
     orders filter shuffle-free; lineitem (the 10^12-row fact) pre-
-    aggregates revenue per orderkey INSIDE each batch before its ONE
-    orderkey-hash join against the kept orders; final top-k via
-    per-batch partial top-k rows then one tiny sort+limit (O(blocks·k)
-    rows sorted, never the order count). Output: (l_orderkey,
+    aggregates revenue per orderkey INSIDE each batch, then meets the
+    kept orders through ``lookup_join`` (broadcast while they pass
+    ``agg.fits_broadcast``, else ``hash_join``). ``agg.bucketed_top_k``
+    then runs ONE exchange on ``l_orderkey`` whose reduce sums revenue
+    and keeps each bucket's top-k, and merges the ≤ shuffle_width()·k
+    partial rows on the driver — never the order count. Below the gate
+    that is the query's one all-to-all. Output: (l_orderkey,
     o_orderdate_us, o_orderpriority, revenue_micro)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as _pq
@@ -1606,7 +1611,7 @@ def shipping_priority(
     keys = pc.filter(
         seg["c_custkey"], pc.equal(seg["c_mktsegment"], segment)
     ).to_numpy(zero_copy_only=False).astype(np.int64)
-    keys_ref = ray.put(np.sort(keys))
+    keys_ref = ray.put(keys)
 
     orders = read_table(
         f"{sf_dir}/orders.parquet",
@@ -1617,9 +1622,7 @@ def shipping_priority(
         ks = ray.get(keys_ref)
         date_us = df["o_orderdate"].astype("int64").to_numpy()
         cust = df["o_custkey"].astype("int64").to_numpy()
-        idx = np.searchsorted(ks, cust)
-        idx[idx >= len(ks)] = 0
-        hit = (len(ks) > 0) & (ks[idx] == cust) & (date_us < cutoff_us)
+        hit = np.isin(cust, ks) & (date_us < cutoff_us)
         out = df.loc[hit, ["o_orderkey", "o_orderdate", "o_orderpriority"]].copy()
         out["o_orderdate_us"] = out["o_orderdate"].astype("int64")
         return out.drop(columns=["o_orderdate"]).astype({"o_orderkey": "int64"})
@@ -1654,33 +1657,26 @@ def shipping_priority(
         )
 
     rev = li.map_batches(rev_partial, batch_format="pandas")
-    joined = hash_join(
-        rev,
-        kept.map_batches(
-            lambda df: df.rename(columns={"o_orderkey": "l_orderkey"}),
-            batch_format="pandas",
-        ),
-        on="l_orderkey",
-    )
-    agg = bucketed_group_agg(
+    joined = lookup_join(rev, kept, on="l_orderkey", right_on="o_orderkey")
+    return bucketed_top_k(
         joined,
-        ["l_orderkey", "o_orderdate_us", "o_orderpriority"],
-        {"revenue_micro": ("revenue_micro", "sum")},
-    )
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(
-            ["revenue_micro", "o_orderdate_us", "l_orderkey"],
-            ascending=[False, True, True],
-            kind="mergesort",
-        ).head(k)
-
-    partial_top = agg.map_batches(local_topk, batch_format="pandas")
-    return (
-        partial_top.sort(
-            ["revenue_micro", "o_orderdate_us", "l_orderkey"],
-            descending=[True, False, False],
-        ).limit(k)
+        "l_orderkey",
+        group_agg(
+            ["l_orderkey", "o_orderdate_us", "o_orderpriority"],
+            {"revenue_micro": ("revenue_micro", "sum")},
+        ),
+        by=["revenue_micro", "o_orderdate_us", "l_orderkey"],
+        ascending=[False, True, True],
+        k=k,
+        schema=pa.schema(
+            [
+                ("l_orderkey", pa.int64()),
+                ("o_orderdate_us", pa.int64()),
+                ("o_orderpriority", pa.string()),
+                ("revenue_micro", pa.int64()),
+            ]
+        ),
+        what="shipping_priority partial top-k",
     )
 
 
