@@ -6,6 +6,7 @@ names, and order-insensitive values (columns sorted by name, rows sorted
 by all columns). Exit code 0 iff everything matches.
 
 Usage: python scripts/check_oracles.py [sf_dir] [query ...] [--json PATH]
+       [--against RECORD]
 
 ``--json PATH`` writes one record per query: ``wall_s`` (the Ray side,
 plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
@@ -13,6 +14,12 @@ plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
 every materialize, count or pull of a lazy plan runs), ``all_to_all``
 (the all-to-all operators in the plans those calls ran), ``rows`` and
 ``match`` (``"match"``, ``"mismatch"`` or ``"rows-only"``).
+
+``--against RECORD`` reads such a record (e.g. the committed
+``scripts/oracle_runs_sf0.001.json``) and exits 1, naming the query,
+when any query run makes more ``executions`` or ``all_to_all`` than the
+record holds for it: a plan that gained a barrier fails the sweep even
+when its rows still match.
 
 The sweep refuses to start (exit 2) while a ``raylet`` runs on the box:
 two local Ray sessions alive at once crash each other.
@@ -68,6 +75,21 @@ def compare(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> list[str]:
                 mism = [(i, gc.iloc[i], ec.iloc[i]) for i in range(len(g)) if gc.iloc[i] != ec.iloc[i]][:3]
                 problems.append(f"column {c!r} values differ; first mismatches: {mism}")
     return problems
+
+
+def rises_above(records: dict, record_path: str) -> list[str]:
+    """One line per query of ``records`` whose ``executions`` or
+    ``all_to_all`` is above the ``--json`` record at ``record_path``
+    (queries the record lacks are not judged)."""
+    with open(record_path) as f:
+        recorded = json.load(f)["queries"]
+    rises = []
+    for name, rec in sorted(records.items()):
+        for field in ("executions", "all_to_all"):
+            was = recorded.get(name, {}).get(field)
+            if was is not None and rec[field] > was:
+                rises.append(f"{name}: {field} {rec[field]} > {was} recorded")
+    return rises
 
 
 def _count_executions() -> list[int]:
@@ -139,6 +161,11 @@ def main() -> int:
     ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
     ap.add_argument("queries", nargs="*", help="run only these queries")
     ap.add_argument("--json", metavar="PATH", help="write per-query records here")
+    ap.add_argument(
+        "--against",
+        metavar="RECORD",
+        help="exit 1 when a query's executions or all_to_all rise above this --json record",
+    )
     args = ap.parse_args()
     sf_dir, only = args.sf_dir, set(args.queries)
 
@@ -198,11 +225,14 @@ def main() -> int:
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"sf_dir": sf_dir, "queries": records}, f, indent=1, sort_keys=True)
+    rises = rises_above(records, args.against) if args.against else []
+    for line in rises:
+        print(f"✗ above {args.against}: {line}")
     if failed:
         print(f"FAILED: {failed}")
         return 1
     print("ALL ORACLES MATCH")
-    return 0
+    return 1 if rises else 0
 
 
 if __name__ == "__main__":

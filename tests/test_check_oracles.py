@@ -1,6 +1,7 @@
 """``scripts/check_oracles.py`` and ``scripts/bench_pairs.py`` refuse to
 start beside a live Ray session: two local sessions crash each other;
-and ``bench_pairs`` applies the gain rule to the pairs it ran."""
+``bench_pairs`` applies the gain rule to the pairs it ran; and
+``check_oracles --against`` names each query that rises above a record."""
 
 import os
 import sys
@@ -68,3 +69,24 @@ def test_bench_pairs_gain_rule(monkeypatch):
     assert bench_pairs.gain(_runs(parent), _runs(close), "m", "lower") == {
         "wins": 10, "pairs": 10, "holds": False
     }
+
+
+def test_against_names_each_query_above_the_record(tmp_path):
+    record = tmp_path / "record.json"
+    record.write_text(
+        '{"sf_dir": "sf0.001", "queries": {'
+        '"kcore": {"executions": 2, "all_to_all": 0},'
+        ' "hits": {"executions": 24, "all_to_all": 26},'
+        ' "pagerank": {"executions": 3, "all_to_all": 0}}}'
+    )
+    runs = {
+        "kcore": {"executions": 3, "all_to_all": 0},  # one execution more
+        "hits": {"executions": 20, "all_to_all": 27},  # fewer runs, one more exchange
+        "pagerank": {"executions": 3, "all_to_all": 0},  # as recorded
+        "new_query": {"executions": 9, "all_to_all": 9},  # not in the record
+    }
+    assert check_oracles.rises_above(runs, str(record)) == [
+        "hits: all_to_all 27 > 26 recorded",
+        "kcore: executions 3 > 2 recorded",
+    ]
+    assert check_oracles.rises_above({"pagerank": runs["pagerank"]}, str(record)) == []

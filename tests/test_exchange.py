@@ -280,5 +280,136 @@ class TestLookupJoin:
         self._check(monkeypatch, path, left, _schemaless_empty())
 
     def test_rejects_right_row_emitting_joins(self):
-        with pytest.raises(ValueError, match="hash_join"):
+        with pytest.raises(ValueError, match="not supported"):
             relational.lookup_join(self._left([1]), self._left([1]), on="k", how="outer")
+
+    @staticmethod
+    def _path(monkeypatch, path):
+        if path == "join":
+            monkeypatch.setattr(agg, "BROADCAST_MAX_BYTES", -1)
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_nullable_int64_pandas_side_above_2_53(self, monkeypatch, path):
+        # a pandas-built side with a nullable Int64 column joins as the
+        # same rows built in Arrow do, exact above 2^53
+        self._path(monkeypatch, path)
+        left = self._left([1, 2, 3])
+        v = [2**60 + 1, None]
+        from_pandas = ray.data.from_pandas(
+            pd.DataFrame({"k": [1, 2], "v": pd.array(v, dtype="Int64")})
+        )
+        from_arrow = ray.data.from_arrow(
+            pa.table({"k": pa.array([1, 2], pa.int64()), "v": pa.array(v, pa.int64())})
+        )
+        for how in self.HOWS:
+            got = relational.lookup_join(left, from_pandas, on="k", how=how)
+            want = relational.lookup_join(left, from_arrow, on="k", how=how)
+            assert _rows(got) == _rows(want), how
+        got = relational.lookup_join(left, from_pandas, on="k", how="left").to_pandas()
+        assert got.sort_values("k")["v"].tolist()[0] == 2**60 + 1
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_rowless_results_are_typed_arrow(self, monkeypatch, path):
+        # the text side comes from a pandas stage (object columns, no
+        # Arrow type in its schema); a batch or bucket with no match
+        # emits a typed Arrow block, which Ray can size
+        self._path(monkeypatch, path)
+        docs = ray.data.from_pandas(
+            [pd.DataFrame({"k": np.arange(i, i + 8, dtype=np.int64)}) for i in (0, 8)]
+        ).map_batches(
+            lambda df: df.assign(text=[f"doc {k}" for k in df["k"]]), batch_format="pandas"
+        )
+        nothing = self._left([100, 101, 102, 103], n_blocks=2)
+        for how in ("inner", "semi"):
+            out = relational.lookup_join(nothing, docs, on="k", how=how).materialize()
+            blocks = ray.get(agg.block_refs(out))
+            assert blocks and all(isinstance(b, pa.Table) and b.num_rows == 0 for b in blocks)
+            if how == "inner":
+                assert {b.schema.field("text").type for b in blocks} == {pa.string()}
+        some = self._left([1, 100, 3, 101], n_blocks=2)
+        got = relational.lookup_join(some, docs, on="k").to_pandas()
+        assert sorted(got["text"]) == ["doc 1", "doc 3"]
+
+    #: null keys on both sides: a null key matches a null key, as the
+    #: pandas merge did before the Arrow kernel; rows as (k, a, v)
+    NULL_KEY_ROWS = {
+        "inner": [(None, 1, 10), (None, 3, 10), (2, 2, 20), (2, 2, 21)],
+        "left": [(1, 0, None), (None, 1, 10), (None, 3, 10), (2, 2, 20), (2, 2, 21), (3, 4, None)],
+        "semi": [(None, 1), (None, 3), (2, 2)],
+        "anti": [(1, 0), (3, 4)],
+    }
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_null_keys_match_null_keys(self, monkeypatch, path):
+        self._path(monkeypatch, path)
+        left = ray.data.from_arrow(
+            pa.table({"k": pa.array([1, None, 2, None, 3], pa.int64()), "a": np.arange(5)})
+        )
+        right = ray.data.from_arrow(
+            pa.table({"k": pa.array([None, 2, 2, 4], pa.int64()), "v": [10, 20, 21, 40]})
+        )
+        for how, want in self.NULL_KEY_ROWS.items():
+            got = relational.lookup_join(left, right, on="k", how=how).to_pandas()
+            cols = ["k", "a", "v"][: len(want[0])]
+            assert list(got.columns) == cols, how
+            rows = [
+                tuple(None if pd.isna(x) else int(x) for x in r)
+                for r in got[cols].astype(object).itertuples(index=False)
+            ]
+            assert sorted(rows, key=repr) == sorted(want, key=repr), how
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_duplicate_right_keys_in_merge_order(self, monkeypatch, path):
+        # one block a side and one bucket: rows come in left order, then
+        # right order within a key, as pandas merges them
+        self._path(monkeypatch, path)
+        left = self._left([5, 7, 5, 9], n_blocks=1)
+        right = ray.data.from_pandas(
+            pd.DataFrame({"k": [5, 7, 5, 5], "v": [0, 1, 2, 3], "a": [9, 9, 9, 9]})
+        )
+        want = {
+            "inner": [(0, 0), (0, 2), (0, 3), (1, 1), (2, 0), (2, 2), (2, 3)],
+            "left": [(0, 0), (0, 2), (0, 3), (1, 1), (2, 0), (2, 2), (2, 3), (3, None)],
+        }
+        for how, pairs in want.items():
+            got = relational.lookup_join(left, right, on="k", how=how, num_buckets=1).to_pandas()
+            # a name on both sides gets the merge suffixes
+            assert list(got.columns) == ["k", "a_x", "v", "a_y"]
+            got_pairs = [
+                (a, None if pd.isna(v) else int(v)) for a, v in zip(got["a_x"], got["v"])
+            ]
+            assert got_pairs == pairs, how
+
+    @pytest.mark.parametrize("path", ["broadcast", "join"])
+    def test_list_float_payload(self, monkeypatch, path):
+        # the embedding joins carry list<float> columns, which the kernel
+        # gathers with take (Acero's join rejects them as payload)
+        self._path(monkeypatch, path)
+        right = ray.data.from_arrow(
+            pa.table(
+                {
+                    "k": pa.array([1, 2, 4], pa.int64()),
+                    "emb": pa.array([[0.5, 1.5], [2.5, -1.0], [0.0, 0.0]], pa.list_(pa.float32())),
+                }
+            )
+        )
+        for how, keys in (("inner", [1, 2, 3, 2]), ("left", [2, 1, 2])):
+            got = relational.lookup_join(self._left(keys), right, on="k", how=how).to_pandas()
+            rows = sorted((int(k), a, list(e)) for k, a, e in zip(got["k"], got["a"], got["emb"]))
+            want = {1: [0.5, 1.5], 2: [2.5, -1.0]}
+            assert rows == sorted((k, a, want[k]) for a, k in enumerate(keys) if k in want), how
+
+    def test_rowless_pandas_blocks_keep_int64_exact(self):
+        # rowless, columnless pandas blocks (what a pandas group stage
+        # emits for an empty bucket) pass the side tags untouched and
+        # can make Ray's sort reduce concatenate a bucket in pandas: the
+        # other side's pads must not null an int column there
+        left = ray.data.from_pandas(
+            [pd.DataFrame({"k": [0, 3], "big": [2**60 + 1, 2**62 + 7]})] + [pd.DataFrame()] * 3
+        ).map_batches(lambda df: df[df["k"] >= 0], batch_format="pandas")
+        right = ray.data.from_pandas(
+            [pd.DataFrame({"k": np.arange(i, i + 5), "blob": [b"x"] * 5}) for i in (0, 5)]
+        ).map_batches(lambda df: df, batch_format="pandas")
+        got = relational.hash_join(left, right, on="k", num_buckets=4).to_pandas()
+        assert sorted(got["big"].tolist()) == [2**60 + 1, 2**62 + 7]
+        assert str(got["big"].dtype) == "int64"

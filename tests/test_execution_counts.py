@@ -8,8 +8,10 @@ pull). The queries rerun here are the fast ones that go through the
 keyed exchange (the per-user events queries and the dedup pair queries)
 and the fixed points that run in one gathered task below the gathered
 gate (kcore and the PageRank family), where a count above the record
-means the loop fell back to its per-round barriers, and
-``shipping_priority``, whose one exchange is also counted by operator.
+means the loop fell back to its per-round barriers,
+``shipping_priority``, whose one exchange is also counted by operator,
+and ``random_walks``, whose per-step states are materialized so the
+final union runs no step's join again (its all-to-alls are counted too).
 """
 
 import json
@@ -43,6 +45,7 @@ QUERIES = [
     "personalized_pagerank",
     "host_rank",
     "shipping_priority",
+    "random_walks",
 ]
 
 
@@ -84,3 +87,14 @@ def test_shipping_priority_runs_one_all_to_all_below_the_gate(sf_dir, executions
     before = list(executions)
     _to_pandas(e.queries()["shipping_priority"](sf_dir))
     assert executions[1] - before[1] == 1
+
+
+def test_random_walks_runs_no_step_twice(sf_dir, executions):
+    """Each step's state is materialized and ``ranked`` is attached by a
+    lookup, so only ``ranked``'s own exchange (and nothing re-run per
+    step in the final union) is left: at most 4 all-to-alls."""
+    import __ray_entry__ as e
+
+    before = list(executions)
+    _to_pandas(e.queries()["random_walks"](sf_dir))
+    assert executions[1] - before[1] <= 4

@@ -211,28 +211,6 @@ def test_sliding_windows_cover_each_event_twice(sf_dir):
     assert (got.window_start_us % 3_600_000_000 == 0).all()
 
 
-def test_hash_join_salted_equals_unsalted(sf_dir):
-    import ray.data
-
-    o = pq.read_table(f"{sf_dir}/orders.parquet").to_pandas()[
-        ["o_orderkey", "o_orderpriority"]
-    ].rename(columns={"o_orderkey": "k"})
-    li = pq.read_table(f"{sf_dir}/lineitem.parquet").to_pandas()[
-        ["l_orderkey", "l_linenumber"]
-    ].rename(columns={"l_orderkey": "k"})
-    a = (
-        hash_join(ray.data.from_pandas(li), ray.data.from_pandas(o), on="k",
-                  num_buckets=8, salt=4)
-        .to_pandas().sort_values(["k", "l_linenumber"]).reset_index(drop=True)
-    )
-    b = (
-        hash_join(ray.data.from_pandas(li), ray.data.from_pandas(o), on="k",
-                  num_buckets=8)
-        .to_pandas().sort_values(["k", "l_linenumber"]).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a[b.columns.tolist()], b)
-
-
 def test_hash_join_preserves_int64_above_2_53(sf_dir):
     """Regression: pass-through int64 columns above 2^53 must survive the
     join exactly. The tagged union used to null-fill each side's missing
@@ -346,8 +324,7 @@ class TestSemiAntiJoins:
         recent = o.loc[o.o_orderdate >= pd.Timestamp("2001-06-01"), "o_custkey"]
         return c, set(recent)
 
-    @pytest.mark.parametrize("salt", [1, 4])
-    def test_semi_anti_match_isin(self, sf_dir, salt):
+    def test_semi_anti_match_isin(self, sf_dir):
         import ray.data
 
         c, recent = self._sides(sf_dir)
@@ -357,8 +334,7 @@ class TestSemiAntiJoins:
         )
         for how in ("semi", "anti"):
             got = (
-                hash_join(left, right, on="c_custkey", how=how,
-                          num_buckets=8, salt=salt)
+                hash_join(left, right, on="c_custkey", how=how, num_buckets=8)
                 .to_pandas()
                 .sort_values("c_custkey")
                 .reset_index(drop=True)

@@ -6,8 +6,7 @@ pipelines share.
 Parts:
 
 - ``_bucket_ids`` — the one bucket tag (``key % W`` for integer keys,
-  ``crc32(text) % W`` otherwise), shared by the group exchanges here
-  and by ``relational.hash_join``;
+  ``crc32(text) % W`` otherwise);
 - ``shuffle_width`` — the one exchange-width rule: the cluster width
   (~2 reduce waves per CPU), narrowed for small inputs so a tiny
   per-round table is not fanned into cluster-width buckets of a few
@@ -33,11 +32,15 @@ Parts:
 - ``worker_cached`` — the one per-worker cache of deserialized
   broadcast state, FIFO-capped so a long-lived worker serving many
   queries evicts instead of growing without bound;
-- ``bucketed_group_agg`` / ``bucketed_group_map`` — the grouped
-  exchanges. Every keyed step that buckets rows and runs one
-  vectorized kernel per bucket goes through ``bucketed_group_map``
-  (a fixed ``num_buckets`` where a size bound depends on which keys
-  share a call, e.g. ``relational.N_USER_BUCKETS``); ``group_agg`` is
+- ``_bucketed`` — the one keyed exchange: tag, ONE groupby on the tag,
+  and an Arrow body per bucket. ``bucketed_group_agg`` /
+  ``bucketed_group_map`` run pandas kernels on it (converted inside
+  their wrapper), and ``relational.hash_join`` runs its Arrow join
+  kernel on the tagged union of its two sides. Every keyed step that
+  buckets rows and runs one vectorized kernel per bucket goes through
+  ``bucketed_group_map`` (a fixed ``num_buckets`` where a size bound
+  depends on which keys share a call, e.g.
+  ``relational.N_USER_BUCKETS``); ``group_agg`` is
   ``bucketed_group_agg``'s per-bucket kernel;
 - ``collect_bounded`` — a driver pull with a stated row bound: one
   execution that stops one row past the bound and raises, naming the
@@ -51,10 +54,6 @@ Parts:
 
 Exchanges that stay hand-written, and why:
 
-- ``relational.hash_join``: two inputs, each tagged by its own rule
-  (left rows round-robin over ``salt`` sub-buckets, right rows
-  replicated into all of them) and unioned; the tag itself is
-  ``_bucket_ids``;
 - the four LSH banding exchanges in ``dedup`` (``MinHashBander`` for
   ``minhash_lsh_pairs`` and ``containment_pairs``,
   ``_explode_simhash_blocks``, ``HyperplaneBander``): the key is the
@@ -220,25 +219,34 @@ def _bucket_ids(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
 def _bucketed(ds: ray.data.Dataset, key: str, body, num_buckets: int | None):
     """Tag every row with ``_bucket_ids`` of ``key`` (one appended Arrow
     column), exchange on the tag, and run ``body`` on each bucket's rows
-    (pandas, tag dropped)."""
+    (an Arrow table that still holds the ``__b`` tag). The engine's one
+    keyed exchange: ``bucketed_group_agg``, ``bucketed_group_map`` and
+    ``relational.hash_join`` run on it. ``body`` itself is the reduce's
+    function, so the benchmark's per-layer trace names its caller."""
     n = num_buckets or shuffle_width()
 
-    # both stages emit CLEAN Arrow (no pandas schema-metadata blob, which
-    # a batch from a pandas stage carries): the reduce's block concat
-    # then dedups schemas by hash instead of logging per-task warnings
-    # (see sources/tables.py)
+    # the tag stage emits CLEAN Arrow (no pandas schema-metadata blob,
+    # which a batch from a pandas stage carries): the reduce's block
+    # concat then dedups schemas by hash instead of logging per-task
+    # warnings (see sources/tables.py)
     def tag(t: pa.Table) -> pa.Table:
         b = pa.array(_bucket_ids(t[key], n), pa.int64())
         return t.append_column("__b", b).replace_schema_metadata(None)
 
-    def run(g: pd.DataFrame) -> pa.Table:
-        out = body(g.drop(columns="__b"))
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
-
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("__b").map_groups(run, batch_format="pandas")
+    return tagged.groupby("__b").map_groups(body, batch_format="pyarrow")
+
+
+def _pandas_body(fn):
+    """A pandas group function as a ``_bucketed`` body: the bucket's
+    rows, tag dropped, reach ``fn`` as Ray converts Arrow to pandas, and
+    its frame goes back as clean Arrow."""
+
+    def body(t: pa.Table) -> pa.Table:
+        out = fn(BlockAccessor.for_block(t.drop_columns(["__b"])).to_pandas())
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+
+    return body
 
 
 def group_agg(
@@ -273,7 +281,9 @@ def bucketed_group_agg(
     already-partial rows) — the caller is responsible for emitting
     per-batch partials first when the op needs it (e.g. ``size`` → emit
     a count column and sum it here)."""
-    return _bucketed(ds, keys[0], group_agg(keys, named_aggs, dtypes), num_buckets)
+    return _bucketed(
+        ds, keys[0], _pandas_body(group_agg(keys, named_aggs, dtypes)), num_buckets
+    )
 
 
 def bucketed_group_map(
@@ -293,7 +303,7 @@ def bucketed_group_map(
     ``num_buckets`` pins that sharing (``key % num_buckets`` for integer
     keys) where a size bound relies on it. The ``__b`` tag column is
     dropped before ``fn`` sees the rows."""
-    return _bucketed(ds, key, fn, num_buckets)
+    return _bucketed(ds, key, _pandas_body(fn), num_buckets)
 
 
 def collect_bounded(ds: ray.data.Dataset, max_rows: int, what: str) -> pd.DataFrame:

@@ -1242,7 +1242,7 @@ def reciprocal_links(
         out = df.loc[(df["fwd"] == 1) & (df["rev"] == 1), ["url_a", "url_b"]]
         if len(out) == 0:
             # typed empty block: Ray's pandas size estimator warns on
-            # size-0 object columns (same fix as hash_join._typed_empty)
+            # size-0 object columns
             return pa.table(
                 {
                     "url_a": pa.array([], pa.string()),
@@ -2802,11 +2802,12 @@ def random_walks(
     visited position (walk = start url, step, url).
 
     Scale shape: the ranked adjacency is built with ONE src-key exchange
-    and materialized; each step is then ONE int-key hash join of the
-    O(seeds) walker frontier against it — the per-round shape PageRank
-    uses, with the frontier shrinking monotonically. Url equality is
-    checked through the join (h63 collisions cannot misroute a walk)."""
-    from zerox_ray.pipelines.relational import hash_join
+    and materialized; each step then attaches it to the O(seeds) walker
+    frontier through ``lookup_join`` on the int key (a broadcast while it
+    fits the gate) and materializes the new frontier, so the output's
+    union of per-step states runs no step twice. Url equality is checked
+    through the join (h63 collisions cannot misroute a walk)."""
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     edges = link_graph(ds, prefix) if edges is None else edges
@@ -2860,7 +2861,7 @@ def random_walks(
 
     out = state.map_batches(emit(0), batch_format="pyarrow")
     for s in range(1, steps + 1):
-        joined = hash_join(state, ranked, on="k")
+        joined = lookup_join(state, ranked, on="k")
 
         def advance(df: pd.DataFrame, s=s) -> pd.DataFrame:
             # url equality guards h63 collisions; ranked pick is the
@@ -2878,7 +2879,7 @@ def random_walks(
                 }
             )
 
-        state = joined.map_batches(advance, batch_format="pandas")
+        state = joined.map_batches(advance, batch_format="pandas").materialize()
         out = out.union(state.map_batches(emit(s), batch_format="pyarrow"))
     return out
 

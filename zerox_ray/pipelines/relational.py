@@ -8,17 +8,18 @@ Scale design:
   nation dims) is ``ray.put`` ONCE and read zero-copy by every task —
   never a shuffle, never re-shipped per batch. Each batch pre-aggregates
   (combiner) so the final groupby exchanges ~|nations| rows per block.
-- **Hash join** (`hash_join`): both sides get a bucket column whose tag
-  is ``agg._bucket_ids`` of the key (times the salt, plus a sub-bucket),
-  are tagged and unioned, and ONE groupby co-locates each bucket; a
-  merge inside the group does the actual join. This is the guide's
-  explicit partitioned-join shape — portable across shuffle strategies
-  and transparent about its single all-to-all.
+- **Hash join** (`hash_join`): both sides are tagged with their side,
+  padded to one column set and unioned, and the union goes through
+  ``agg._bucketed`` on the key: the engine's one keyed exchange, ONE
+  all-to-all, buckets ``agg._bucket_ids`` of the key. Inside a bucket an
+  Arrow index join (``_join_kernel``) matches the two sides and gathers
+  their columns with ``take``, so every column keeps its Arrow type.
+  Supported: inner, left, semi and anti.
 - **Lookup join** (`lookup_join`): a keyed table attached to another
   side (inner/left/semi/anti). The table is materialized; while its
   bytes fit ``agg.fits_broadcast`` its blocks ship once and every
-  other-side batch merges in place, else it is ``hash_join``. Both
-  paths run the same per-partition merge (``_merge_kernel``).
+  other-side batch is joined in place, else it is ``hash_join``. Both
+  paths run the same per-partition kernel (``_join_kernel``).
 - **As-of join** (`asof_purchase_view`): per-key ordered semantics →
   ``bucketed_group_map`` on ``user_id`` + in-bucket sort + vectorized
   ``merge_asof`` (no global sort). Concurrency comes from many users; a
@@ -43,7 +44,7 @@ from ray.data.block import BlockAccessor
 
 from zerox_ray.sources.tables import read_table
 from zerox_ray.pipelines.agg import (
-    _bucket_ids,
+    _bucketed,
     block_refs,
     bucketed_group_agg,
     bucketed_group_map,
@@ -128,16 +129,8 @@ def orders_by_nation(sf_dir: str) -> ray.data.Dataset:
 # --- explicit partitioned hash join ------------------------------------------
 
 
-def _is_int(typ) -> bool:
-    try:
-        return pa.types.is_integer(typ)
-    except (AttributeError, TypeError):
-        # pandas-block schemas carry numpy dtypes / python types
-        return str(typ).startswith(("int", "uint"))
-
-
 def _kernel_frame(t: pa.Table) -> pd.DataFrame:
-    """A join side as the merge kernel reads it: Ray's Arrow → pandas
+    """A join result as pandas consumers read it: Ray's Arrow → pandas
     conversion, except that an integer column holding nulls becomes
     pandas nullable Int64 / UInt64 instead of float64, which would round
     values above 2^53."""
@@ -150,103 +143,56 @@ def _kernel_frame(t: pa.Table) -> pd.DataFrame:
     return df
 
 
-def _right_side(r: pa.Table, on: str, how: str):
-    """The right rows as ``_merge_kernel``'s ``merge`` reads them: the
-    key array for an existence join (semi/anti), else a pandas frame."""
-    return r[on].combine_chunks() if how in ("semi", "anti") else _kernel_frame(r)
-
-
-def _merge_kernel(lschema, rschema, on: str, how: str):
+def _join_kernel(on: str, how: str):
     """The per-partition join that ``hash_join`` runs per bucket and
     ``lookup_join`` per left batch, so both paths emit the same rows.
 
-    Returns ``merge(l, r)``: ``l`` is Arrow rows of the left side,
-    ``r`` the right rows through ``_right_side`` (column sets as in
-    ``lschema`` / ``rschema``, Ray or Arrow schemas). semi/anti filter
-    ``l`` in Arrow, so the left rows keep their types. The other joins
-    merge in pandas: integer columns come back with their source side's
-    dtype, and one that picked up nulls (unmatched rows of a left/outer
-    join) becomes pandas nullable Int64 instead of float64. An empty
-    result is a typed Arrow block."""
-    lcols, rcols = list(lschema.names), list(rschema.names)
-    lints = {n: str(t) for n, t in zip(lschema.names, lschema.types) if _is_int(t)}
-    rints = {n: str(t) for n, t in zip(rschema.names, rschema.types) if _is_int(t)}
+    Returns ``join(l, r)`` over Arrow rows of the two sides. semi/anti
+    filter ``l`` by key membership. inner/left match the keys through
+    ``pc.index_in`` and gather each side's columns with ``take``, so
+    every column keeps its Arrow type and no payload enters a hash
+    table. Rows come in pandas' merge order (left order, then right
+    order within a key), and a null key matches a null key. Columns are
+    the left ones, then the right ones but ``on``; a name on both sides
+    gets ``_x`` / ``_y``. Matched rows come as a ``_kernel_frame``, so
+    pandas consumers read an integer column holding nulls (a left join's
+    unmatched rows) as nullable Int64, not float64; one Ray task emits
+    one block type, so this holds for every non-empty result, and an
+    empty one stays a typed Arrow table. Any other ``how`` raises
+    ``ValueError`` here, before a plan is built."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"join how={how!r} is not supported: use inner, left, semi or anti")
 
-    def _restore_int_dtypes(out: pd.DataFrame) -> pd.DataFrame:
-        """Map merge-suffixed _x/_y columns back to their source side's
-        dtype; a column holding NaN gets nullable Int64."""
-        for c in out.columns:
-            if c.endswith("_x") and c[:-2] in lints:
-                want = lints[c[:-2]]
-            elif c.endswith("_y") and c[:-2] in rints:
-                want = rints[c[:-2]]
-            elif c in lints:
-                want = lints[c]
-            elif c in rints:
-                want = rints[c]
-            else:
-                continue
-            if str(out[c].dtype) == want:
-                continue
-            out[c] = out[c].astype("Int64" if out[c].isna().any() else want)
-        return out
-
-    def _arrow_type_of(c: str):
-        """Resolve an output column's Arrow type from the side schemas
-        (merge suffixes _x/_y map back to their source side)."""
-        prefer = (lschema, rschema)
-        base = c
-        # pandas adds _x/_y suffixes only for columns present on BOTH
-        # sides — an intersection test, not union (a genuine left-side
-        # column literally named 'score_x' must NOT be stripped)
-        if c.endswith(("_x", "_y")) and c[:-2] in set(lcols) & set(rcols):
-            base = c[:-2]
-            prefer = (lschema, rschema) if c.endswith("_x") else (rschema, lschema)
-        for sch in prefer:
-            names = list(sch.names)
-            if base not in names:
-                continue
-            t = sch.types[names.index(base)]
-            if isinstance(t, pa.DataType):
-                return t
-            try:  # pandas-block schema: numpy dtypes; object ⇒ unknown
-                return None if str(t) == "object" else pa.from_numpy_dtype(t)
-            except (TypeError, pa.ArrowNotImplementedError):
-                return None
-        return None
-
-    def _typed_empty(out: pd.DataFrame):
-        """Empty merge results keep object-dtype columns, which Ray's
-        pandas block size estimator warns on at size 0 (np.vectorize on
-        an empty sample) — one stderr line per empty partition. Emit a
-        TYPED empty Arrow block instead, with types taken from the join
-        sides' own schemas so it unifies with the non-empty blocks."""
-        if len(out):
-            return out
-        types = {c: _arrow_type_of(c) for c in out.columns}
-        if any(t is None for t in types.values()):
-            return out  # unknown column type somewhere — keep pandas
-        return pa.table({c: pa.array([], t) for c, t in types.items()})
-
-    def merge(l: pa.Table, r):
+    def join(l: pa.Table, r: pa.Table):
+        lk = l[on]
+        rk = r[on].cast(lk.type)
         if how in ("semi", "anti"):
-            # existence filter, not a merge: only left columns survive.
-            # Correct under salt>1 because right rows replicate into
-            # every sub-bucket, so per-sub-bucket membership is exact.
-            present = pc.is_in(l[on], value_set=r.cast(l.schema.field(on).type))
+            present = pc.is_in(lk, value_set=rk)
             return l.filter(present if how == "semi" else pc.invert(present))
-        l = _kernel_frame(l)
-        # a left/outer merge introduces NaN into the nullable side's int
-        # columns, upcasting them to float64 mid-merge (before
-        # _restore_int_dtypes can help) and rounding values above 2^53.
-        # A pre-cast to pandas nullable Int64 keeps the merge exact.
-        if how in ("left", "outer"):
-            r = r.astype({c: "Int64" for c in rints if c in r.columns and c != on})
-        if how in ("right", "outer"):
-            l = l.astype({c: "Int64" for c in lints if c in l.columns and c != on})
-        return _typed_empty(_restore_int_dtypes(l.merge(r, on=on, how=how)))
+        keys = pc.unique(rk)
+        # right rows grouped by key, right order within a key
+        group = pc.index_in(rk, value_set=keys).to_numpy(zero_copy_only=False)
+        by_key = np.argsort(group, kind="stable")
+        counts = np.bincount(group, minlength=len(keys))
+        # per left row: its key's match count and first grouped right row
+        # (an unmatched row reads the appended 0 of both)
+        g = pc.fill_null(pc.index_in(lk, value_set=keys), len(keys))
+        g = g.to_numpy(zero_copy_only=False)
+        n = np.append(counts, 0)[g]
+        start = np.append(np.cumsum(counts) - counts, 0)[g]
+        reps = np.maximum(n, 1) if how == "left" else n
+        pos = np.repeat(start - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        ri = pa.array(np.append(by_key, 0)[pos], mask=np.repeat(n == 0, reps))
+        # the common lookup matches each left row once: no left gather
+        lt = l if (reps == 1).all() else l.take(np.repeat(np.arange(len(g)), reps))
+        rt = r.drop_columns([on]).take(ri)
+        both = set(lt.column_names) & set(rt.column_names)
+        names = [c + "_x" if c in both else c for c in lt.column_names]
+        names += [c + "_y" if c in both else c for c in rt.column_names]
+        out = pa.Table.from_arrays(lt.columns + rt.columns, names=names)
+        return _kernel_frame(out) if out.num_rows else out
 
-    return merge
+    return join
 
 
 def hash_join(
@@ -255,145 +201,69 @@ def hash_join(
     on: str,
     num_buckets: int | None = None,
     how: str = "inner",
-    salt: int = 1,
 ) -> ray.data.Dataset:
-    """Partitioned hash join of two Datasets on an integer or string key.
+    """Partitioned hash join (inner, left, semi or anti) of two Datasets
+    on an integer or string key.
 
-    bucket(key) (``agg._bucket_ids``: ``key % B`` for integers,
-    ``crc32(text) % B`` otherwise) is added to both sides; a tagged
-    union + ONE groupby co-locates buckets; ``_merge_kernel`` joins
-    within each bucket. The bucket count defaults to
-    ``agg.shuffle_width()``, the cluster width.
-
-    ``salt > 1`` is the hot-key lever: LEFT rows spread across ``salt``
-    sub-buckets per key (round-robin — join output is order-insensitive,
-    so the spread needs no stable hash), RIGHT rows replicate into every
-    sub-bucket. A key carrying 10% of the left side then costs ~10%/salt
-    per task instead of one straggler task. Use when the left side is
-    the big, skewed one (fact table) and right is moderate."""
-    if salt > 1 and how not in ("inner", "semi", "anti"):
-        raise ValueError(
-            "salt > 1 requires how='inner'/'semi'/'anti': replicated right "
-            "rows would emit phantom unmatched rows under outer/right joins"
-        )
-    if num_buckets is None:
-        num_buckets = shuffle_width()
-
+    Each side is tagged ``__side`` and padded with the other side's
+    columns (never read); the union goes through the engine's one
+    keyed exchange, ``agg._bucketed`` on ``on`` (``key % B`` for
+    integers, ``crc32(text) % B`` otherwise; ``B`` defaults to
+    ``agg.shuffle_width()``), and ``_join_kernel`` joins each bucket's
+    two sides in Arrow."""
+    kernel = _join_kernel(on, how)
     # a rowless side can surface with NO schema at all (e.g. a groupby
     # over an empty stream) — resolve the join semantically instead of
     # crashing on schema introspection. The right side is checked first:
     # ``left.schema()`` of a lazy left runs part of its plan.
     rschema = right.schema()
     if rschema is None:
-        if how in ("inner", "semi"):
-            return left.limit(0)  # keeps the left schema, zero rows
-        if how in ("anti", "left"):
-            # anti: nothing to subtract. left: the semantically correct
-            # result is every left row with null right columns — but the
-            # right columns are UNKNOWABLE here, so return left unchanged;
-            # callers' downstream fillna/column-adds handle the absence
-            # (link_components' early return relies on exactly this shape)
-            return left
-        raise ValueError(
-            "hash_join: right side is empty with unknown schema; "
-            f"how={how!r} needs its columns — guard or materialize upstream"
-        )
+        # inner/semi: nothing matches. anti: nothing to subtract. left:
+        # every left row with null right columns — but the right columns
+        # are UNKNOWABLE here, so left comes back unchanged; callers'
+        # downstream fillna/column-adds handle the absence
+        # (link_components' early return relies on exactly this shape)
+        return left.limit(0) if how in ("inner", "semi") else left
     lschema = left.schema()
     if lschema is None:
-        if how in ("inner", "left", "semi", "anti"):
-            return left  # empty in every left-row-emitting mode
-        raise ValueError(
-            "hash_join: left side is empty with unknown schema; "
-            f"how={how!r} needs its columns — guard or materialize upstream"
-        )
-    # union() aligns schemas by null-filling, so each side re-selects
-    # only its own columns inside the merge
+        return left  # empty in every mode
     lcols, rcols = list(lschema.names), list(rschema.names)
-    kernel = _merge_kernel(lschema, rschema, on, how)
-
-    # Arrow-native tag stages: these run over the FULL table on both
-    # sides, so forcing a pandas conversion here was the join's biggest
-    # per-batch tax (strings/lists objectify). The batch stays zero-copy;
-    # only the key column is touched, plus two appended columns. The
-    # per-bucket merge below stays pandas — pd.merge IS the kernel there.
-    #
-    # INT64-PRECISION GUARD: each side is padded with the OTHER side's
-    # missing columns at tag time, integers as typed ZEROS (never
-    # nulls). Without the padding the shuffle null-fills them, and a
-    # pandas block mixing null-filled and real rows upcasts the whole
-    # int column to float64 — silently rounding values above 2^53
-    # (observed: 63-bit md5 url keys in graph.link_components losing
-    # low bits, 11 of 1338 edges surviving a chained join). The padded
-    # values are never read — merge() re-selects each side's own
-    # columns — so zeros are safe; non-integer pads stay null.
-    def _pad_missing(t: pa.Table, missing: list[tuple[str, object]]) -> pa.Table:
-        n = t.num_rows
-        for name, typ in missing:
-            if _is_int(typ):
-                try:
-                    arr = pa.array(np.zeros(n, dtype=str(typ)))
-                except TypeError:
-                    arr = pa.array(np.zeros(n, dtype=np.int64))
-            else:
-                try:
-                    at = typ if isinstance(typ, pa.DataType) else pa.from_numpy_dtype(typ)
-                    arr = pa.nulls(n, at)
-                except (TypeError, pa.ArrowNotImplementedError):
-                    arr = pa.nulls(n)
-            t = t.append_column(name, arr)
-        return t
-
-    l_missing = [
-        (c, t) for c, t in zip(rschema.names, rschema.types) if c not in lcols
-    ]
-    r_missing = [
-        (c, t) for c, t in zip(lschema.names, lschema.types) if c not in rcols
-    ]
     #: one canonical column order so every tagged block shares a schema
-    _order = list(dict.fromkeys(lcols + rcols)) + ["__bucket", "__side"]
+    order = list(dict.fromkeys(lcols + rcols)) + ["__side"]
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        sub = np.arange(n, dtype=np.int64) % salt
-        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
-        t = t.append_column(
-            "__bucket", pa.array(bucket, pa.int64())
-        ).append_column("__side", pa.array(["L"] * n, pa.string()))
-        # strip pandas metadata: blocks that arrived from a pandas stage
-        # carry an unhashable schema-metadata dict, which breaks Ray's
-        # shuffle schema dedup (one warning per reduce concat) and ships
-        # redundant schema bytes per block
-        return _pad_missing(t, l_missing).select(_order).replace_schema_metadata(None)
+    # Each side is padded with the other side's columns, which ``body``
+    # never reads: integers as typed ZEROS, the rest as typed nulls (a
+    # pandas-block schema may name no Arrow type: untyped). A rowless
+    # pandas block from upstream passes every map untouched, and when it
+    # comes first Ray's sort reduce concatenates the bucket in pandas,
+    # where a null would turn an int column float64 and round values
+    # above 2^53 (63-bit url keys in graph.link_components).
+    def pad(typ, n: int) -> pa.Array:
+        if not isinstance(typ, pa.DataType):
+            return pa.nulls(n)
+        if pa.types.is_integer(typ):
+            return pa.array(np.zeros(n, typ.to_pandas_dtype()))
+        return pa.nulls(n, typ)
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if salt > 1:  # replicate into every sub-bucket
-            t = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64), salt)))
-            sub = np.tile(np.arange(salt, dtype=np.int64), n)
-        else:
-            sub = np.zeros(n, dtype=np.int64)
-        bucket = _bucket_ids(t[on], num_buckets) * salt + sub
-        t = t.append_column(
-            "__bucket", pa.array(bucket, pa.int64())
-        ).append_column("__side", pa.array(["R"] * t.num_rows, pa.string()))
-        return _pad_missing(t, r_missing).select(_order).replace_schema_metadata(None)
+    def tagger(side: int, own: list[str], other):
+        missing = [(c, t) for c, t in zip(other.names, other.types) if c not in own]
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
+        def tag(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            for c, typ in missing:
+                t = t.append_column(c, pad(typ, n))
+            t = t.append_column("__side", pa.array(np.full(n, side, np.int8)))
+            return t.select(order).replace_schema_metadata(None)
 
-    def merge(t: pa.Table):
-        # a bucket whose rows all come from one side may arrive without
-        # the other side's columns (schema alignment is per block, not
-        # guaranteed per group) — add them so both slices always exist
-        for c in _order:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows))
-        is_left = pc.equal(t["__side"], "L")
-        l = t.filter(is_left).select(lcols)
-        r = t.filter(pc.invert(is_left)).select(rcols)
-        return kernel(l, _right_side(r, on, how))
+        return tag
 
-    return lt.union(rt).groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    def body(t: pa.Table):
+        is_left = pc.equal(t["__side"], 0)
+        return kernel(t.filter(is_left).select(lcols), t.filter(pc.invert(is_left)).select(rcols))
+
+    lt = left.map_batches(tagger(0, lcols, rschema), batch_format="pyarrow")
+    rt = right.map_batches(tagger(1, rcols, lschema), batch_format="pyarrow")
+    return _bucketed(lt.union(rt), on, body, num_buckets)
 
 
 def rename_columns(ds: ray.data.Dataset, names: dict[str, str]) -> ray.data.Dataset:
@@ -425,19 +295,15 @@ def lookup_join(
     ``right`` is materialized, and its bytes come from Ray's block
     metadata (no extra pass). When ``agg.fits_broadcast`` of them holds,
     the right blocks ship once — each worker fetches and concatenates
-    them once (``agg.worker_cached``) — and every left batch is merged
+    them once (``agg.worker_cached``) — and every left batch is joined
     in place, so ``left`` never enters an exchange. Otherwise this is
     ``hash_join(left, right, on, num_buckets, how)``. Both paths run
-    ``_merge_kernel``, so they emit the same rows.
+    ``_join_kernel``, so they emit the same rows.
 
     This is the one place a keyed lookup chooses between broadcast and
     join: a test drives every caller down the join path by setting
     ``agg.BROADCAST_MAX_BYTES = -1``."""
-    if how not in ("inner", "left", "semi", "anti"):
-        raise ValueError(
-            f"lookup_join: how={how!r} would emit unmatched right rows once "
-            "per left batch; use hash_join"
-        )
+    kernel = _join_kernel(on, how)
     right = right.materialize()
     rename = {right_on: on} if right_on not in (None, on) else {}
     known = right.schema() is not None
@@ -448,16 +314,14 @@ def lookup_join(
         return hash_join(left, right, on, num_buckets=num_buckets, how=how)
 
     refs = block_refs(right)
-    key = ("lookup", on, right_on, how, *(ref.hex() for ref in refs))
+    key = ("lookup", on, right_on, *(ref.hex() for ref in refs))
 
-    def gather() -> tuple[pd.DataFrame, pa.Schema]:
+    def gather() -> pa.Table:
         t = concat_blocks(ray.get(refs))
-        t = t.rename_columns([rename.get(c, c) for c in t.column_names])
-        return _right_side(t, on, how), t.schema
+        return t.rename_columns([rename.get(c, c) for c in t.column_names])
 
     def probe(t: pa.Table):
-        r, rschema = worker_cached(key, gather)
-        return _merge_kernel(t.schema, rschema, on, how)(t, r)
+        return kernel(t, worker_cached(key, gather))
 
     return left.map_batches(probe, batch_format="pyarrow")
 
@@ -1446,8 +1310,8 @@ def interval_join(
     10^12 rows the exchange width is the bucket count — size
     ``bucket_days`` down for denser data (more, smaller buckets) and up
     for longer windows (less replication); hot buckets (burst days) are
-    the skew axis, salt probes or narrow the width when one bucket
-    dominates. Output: (o_orderkey, n_windows)."""
+    the skew axis: narrow ``bucket_days`` when one bucket dominates.
+    Output: (o_orderkey, n_windows)."""
     orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
     )
