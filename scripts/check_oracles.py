@@ -12,14 +12,16 @@ Usage: python scripts/check_oracles.py [sf_dir] [query ...] [--json PATH]
 plan build through ``to_pandas``; the DuckDB oracle is not timed), Ray
 ``executions`` (calls of ``StreamingExecutor.execute``, which is what
 every materialize, count or pull of a lazy plan runs), ``all_to_all``
-(the all-to-all operators in the plans those calls ran), ``rows`` and
-``match`` (``"match"``, ``"mismatch"`` or ``"rows-only"``).
+(the all-to-all operators in the plans those calls ran), ``probes``
+(those executions that are the ``limit(1)`` copy of a lazy plan Ray
+runs to answer ``Dataset.schema()``), ``rows`` and ``match`` (``"match"``,
+``"mismatch"`` or ``"rows-only"``).
 
 ``--against RECORD`` reads such a record (e.g. the committed
 ``scripts/oracle_runs_sf0.001.json``) and exits 1, naming the query,
-when any query run makes more ``executions`` or ``all_to_all`` than the
-record holds for it: a plan that gained a barrier fails the sweep even
-when its rows still match.
+when any query run makes more ``executions``, ``all_to_all`` or
+``probes`` than the record holds for it: a plan that gained a barrier
+or a schema probe fails the sweep even when its rows still match.
 
 The sweep refuses to start (exit 2) while a ``raylet`` runs on the box:
 two local Ray sessions alive at once crash each other.
@@ -78,31 +80,38 @@ def compare(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> list[str]:
 
 
 def rises_above(records: dict, record_path: str) -> list[str]:
-    """One line per query of ``records`` whose ``executions`` or
-    ``all_to_all`` is above the ``--json`` record at ``record_path``
-    (queries the record lacks are not judged)."""
+    """One line per query of ``records`` whose ``executions``,
+    ``all_to_all`` or ``probes`` is above the ``--json`` record at
+    ``record_path`` (queries, or fields, the record lacks are not
+    judged)."""
     with open(record_path) as f:
         recorded = json.load(f)["queries"]
     rises = []
     for name, rec in sorted(records.items()):
-        for field in ("executions", "all_to_all"):
+        for field in ("executions", "all_to_all", "probes"):
             was = recorded.get(name, {}).get(field)
-            if was is not None and rec[field] > was:
+            if was is not None and rec.get(field, 0) > was:
                 rises.append(f"{name}: {field} {rec[field]} > {was} recorded")
     return rises
 
 
 def _count_executions() -> list[int]:
-    """Count ``StreamingExecutor.execute`` calls in this process and the
+    """Count ``StreamingExecutor.execute`` calls in this process, the
     all-to-all operators (Ray's sorts, groupbys and repartitions) in the
-    plans they run; the returned two-item list holds the running totals
-    ``[executions, all_to_all]``."""
+    plans they run, and the schema probes: the calls whose plan's top
+    operator is a limit of 1 row, run by Ray's ``ExecutionPlan.schema``
+    to answer ``Dataset.schema()`` on a lazy plan (an aggregate pulled
+    with ``take(1)``, e.g. ``Dataset.max``, is a 1-row limit too, but no
+    probe); the returned three-item list holds the running totals
+    ``[executions, all_to_all, probes]``."""
     from ray.data._internal.execution.operators.base_physical_operator import (
         AllToAllOperator,
     )
+    from ray.data._internal.execution.operators.limit_operator import LimitOperator
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
+    from ray.data._internal.plan import ExecutionPlan
 
-    calls = [0, 0]
+    calls = [0, 0, 0]
     orig = StreamingExecutor.execute
 
     def all_to_all(dag) -> int:
@@ -114,9 +123,18 @@ def _count_executions() -> list[int]:
                 todo.extend(op.input_dependencies)
         return sum(isinstance(op, AllToAllOperator) for op in ops.values())
 
+    def probe(dag) -> bool:
+        if not (isinstance(dag, LimitOperator) and dag._limit == 1):
+            return False
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not ExecutionPlan.schema.__code__:
+            frame = frame.f_back
+        return frame is not None
+
     def execute(self, dag, *args, **kwargs):
         calls[0] += 1
         calls[1] += all_to_all(dag)
+        calls[2] += probe(dag)
         return orig(self, dag, *args, **kwargs)
 
     StreamingExecutor.execute = execute
@@ -164,7 +182,7 @@ def main() -> int:
     ap.add_argument(
         "--against",
         metavar="RECORD",
-        help="exit 1 when a query's executions or all_to_all rise above this --json record",
+        help="exit 1 when a query's executions, all_to_all or probes rise above this --json record",
     )
     args = ap.parse_args()
     sf_dir, only = args.sf_dir, set(args.queries)
@@ -205,6 +223,7 @@ def main() -> int:
             "wall_s": round(time.perf_counter() - t0, 3),
             "executions": executions[0] - before[0],
             "all_to_all": executions[1] - before[1],
+            "probes": executions[2] - before[2],
             "rows": len(got),
             "match": "rows-only",
         }

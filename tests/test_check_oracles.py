@@ -1,6 +1,7 @@
 """``scripts/check_oracles.py`` and ``scripts/bench_pairs.py`` refuse to
 start beside a live Ray session: two local sessions crash each other;
-``bench_pairs`` applies the gain rule to the pairs it ran; and
+``bench_pairs`` applies the gain rule to the pairs it ran;
+``check_oracles --json`` records each query's schema probes; and
 ``check_oracles --against`` names each query that rises above a record."""
 
 import os
@@ -90,3 +91,61 @@ def test_against_names_each_query_above_the_record(tmp_path):
         "kcore: executions 3 > 2 recorded",
     ]
     assert check_oracles.rises_above({"pagerank": runs["pagerank"]}, str(record)) == []
+
+
+def test_against_names_a_query_whose_probes_rise(tmp_path):
+    record = tmp_path / "record.json"
+    record.write_text(
+        '{"sf_dir": "sf0.001", "queries": {'
+        '"hits": {"executions": 24, "all_to_all": 26, "probes": 0},'
+        ' "kcore": {"executions": 2, "all_to_all": 0, "probes": 1},'
+        ' "pagerank": {"executions": 3, "all_to_all": 0}}}'
+    )
+    runs = {
+        "hits": {"executions": 20, "all_to_all": 20, "probes": 1},  # one schema probe more
+        "kcore": {"executions": 2, "all_to_all": 0, "probes": 0},  # one fewer
+        "pagerank": {"executions": 3, "all_to_all": 0, "probes": 2},  # not recorded
+    }
+    assert check_oracles.rises_above(runs, str(record)) == ["hits: probes 1 > 0 recorded"]
+
+
+def test_json_records_probes_per_query(monkeypatch, tmp_path):
+    """``--json`` writes each query's ``probes``: the ``limit(1)`` runs
+    of a lazy plan by which Ray answers ``schema()``. An aggregate
+    pulled with ``take(1)`` is a 1-row limit too, but no probe. ``main``
+    runs in the suite's own Ray session, over two stand-in queries."""
+    import json
+
+    import ray
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    import __ray_entry__
+
+    def lazy() -> ray.data.Dataset:
+        return ray.data.range(8).map_batches(lambda b: b)
+
+    def probing(sf_dir):
+        ds = lazy()
+        ds.schema()  # a limit(1) run of the plan
+        return ds
+
+    def clean(sf_dir):
+        ds = lazy().materialize()
+        ds.schema()  # known from the materialized blocks: no execution
+        assert lazy().max("id") == 7  # an aggregate pulled by take(1)
+        return ds.limit(3)  # a limit, but not of one row
+
+    monkeypatch.setattr(StreamingExecutor, "execute", StreamingExecutor.execute)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(check_oracles, "raylet_pids", lambda proc="/proc": [])
+    monkeypatch.setattr(ray, "init", lambda *a, **k: None)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    monkeypatch.setattr(__ray_entry__, "queries", lambda: {"probing": probing, "clean": clean})
+    monkeypatch.setattr(__ray_entry__, "oracle_sql", lambda: {})
+    out = tmp_path / "runs.json"
+    monkeypatch.setattr(sys, "argv", ["check_oracles.py", str(tmp_path), "--json", str(out)])
+    assert check_oracles.main() == 0
+    runs = json.loads(out.read_text())["queries"]
+    assert (runs["probing"]["probes"], runs["probing"]["executions"]) == (1, 2)
+    assert (runs["clean"]["probes"], runs["clean"]["executions"]) == (0, 3)

@@ -359,10 +359,10 @@ class TestLookupJoin:
             assert sorted(rows, key=repr) == sorted(want, key=repr), how
 
     @pytest.mark.parametrize("path", ["broadcast", "join"])
-    def test_duplicate_right_keys_in_merge_order(self, monkeypatch, path):
-        # one block a side and one bucket: rows come in left order, then
-        # right order within a key, as pandas merges them
-        self._path(monkeypatch, path)
+    def test_duplicate_right_keys_in_merge_order(self, path):
+        # one block a side and one bucket (the join path is hash_join's
+        # with one bucket): rows come in left order, then right order
+        # within a key, as pandas merges them
         left = self._left([5, 7, 5, 9], n_blocks=1)
         right = ray.data.from_pandas(
             pd.DataFrame({"k": [5, 7, 5, 5], "v": [0, 1, 2, 3], "a": [9, 9, 9, 9]})
@@ -372,7 +372,11 @@ class TestLookupJoin:
             "left": [(0, 0), (0, 2), (0, 3), (1, 1), (2, 0), (2, 2), (2, 3), (3, None)],
         }
         for how, pairs in want.items():
-            got = relational.lookup_join(left, right, on="k", how=how, num_buckets=1).to_pandas()
+            if path == "join":
+                got = relational.hash_join(left, right, on="k", how=how, num_buckets=1)
+            else:
+                got = relational.lookup_join(left, right, on="k", how=how)
+            got = got.to_pandas()
             # a name on both sides gets the merge suffixes
             assert list(got.columns) == ["k", "a_x", "v", "a_y"]
             got_pairs = [
@@ -393,11 +397,21 @@ class TestLookupJoin:
                 }
             )
         )
+        want = {1: [0.5, 1.5], 2: [2.5, -1.0]}
         for how, keys in (("inner", [1, 2, 3, 2]), ("left", [2, 1, 2])):
             got = relational.lookup_join(self._left(keys), right, on="k", how=how).to_pandas()
             rows = sorted((int(k), a, list(e)) for k, a, e in zip(got["k"], got["a"], got["emb"]))
-            want = {1: [0.5, 1.5], 2: [2.5, -1.0]}
             assert rows == sorted((k, a, want[k]) for a, k in enumerate(keys) if k in want), how
+        # a left join that leaves rows unmatched, in a block with matches
+        # and in one without: the list column keeps its type, with nulls
+        keys = [2, 3, 1, 3]
+        got = relational.lookup_join(self._left(keys), right, on="k", how="left").to_pandas()
+        assert got["emb"].dtype == pd.ArrowDtype(pa.list_(pa.float32()))
+        rows = sorted(
+            (int(k), a, None if e is pd.NA else list(e))
+            for k, a, e in zip(got["k"], got["a"], got["emb"])
+        )
+        assert rows == sorted((k, a, want.get(k)) for a, k in enumerate(keys))
 
     def test_rowless_pandas_blocks_keep_int64_exact(self):
         # rowless, columnless pandas blocks (what a pandas group stage
@@ -413,3 +427,48 @@ class TestLookupJoin:
         got = relational.hash_join(left, right, on="k", num_buckets=4).to_pandas()
         assert sorted(got["big"].tolist()) == [2**60 + 1, 2**62 + 7]
         assert str(got["big"].dtype) == "int64"
+
+
+#: the functions that call ``relational.hash_join`` directly: the join
+#: path of ``lookup_join`` and the fact⋈fact joins whose right side is
+#: payload streamed into the exchange (each named in its docstring)
+HASH_JOIN_CALLERS = {
+    "lookup_join",
+    "revenue_by_priority",
+    "_verify_pairs_by_join",
+    "_verify_containment_by_join",
+    "_verify_vec_pairs_by_join",
+}
+
+
+def test_keyed_lookups_go_through_lookup_join():
+    """Every ``hash_join(`` call in ``zerox_ray/pipelines`` sits in
+    ``lookup_join`` or in a fact⋈fact site ``hash_join``'s docstring
+    names; any other keyed lookup calls ``lookup_join``, whose gate
+    broadcasts a small right side with no join exchange or schema
+    probe."""
+    import ast
+    import pathlib
+
+    def calls(tree) -> set[int]:
+        return {
+            n.lineno
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and "hash_join" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        }
+
+    stray = []
+    for path in sorted(pathlib.Path(relational.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set().union(
+            *(
+                calls(fn)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name in HASH_JOIN_CALLERS
+            )
+        )
+        stray += [f"{path.name}:{line}" for line in sorted(calls(tree) - allowed)]
+    assert not stray, f"hash_join called outside lookup_join and the fact⋈fact sites: {stray}"
+    for name in HASH_JOIN_CALLERS - {"lookup_join"}:
+        assert name in relational.hash_join.__doc__, name

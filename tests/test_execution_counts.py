@@ -10,8 +10,15 @@ and the fixed points that run in one gathered task below the gathered
 gate (kcore and the PageRank family), where a count above the record
 means the loop fell back to its per-round barriers,
 ``shipping_priority``, whose one exchange is also counted by operator,
-and ``random_walks``, whose per-step states are materialized so the
-final union runs no step's join again (its all-to-alls are counted too).
+``random_walks``, whose per-step states are materialized so the final
+union runs no step's join again (its all-to-alls are counted too), and
+``hits``, ``local_clustering`` and ``crawl_depth``, whose keyed lookups
+go through ``relational.lookup_join``.
+
+Every query here also runs with no schema probe: no ``limit(1)`` copy
+of a lazy plan run to answer ``Dataset.schema()`` (``hash_join`` asks
+for both of its sides' schemas; ``lookup_join`` below its broadcast
+gate asks for none).
 """
 
 import json
@@ -46,6 +53,9 @@ QUERIES = [
     "host_rank",
     "shipping_priority",
     "random_walks",
+    "hits",
+    "local_clustering",
+    "crawl_depth",
 ]
 
 
@@ -70,12 +80,13 @@ def executions():
 def test_executions_at_most_recorded(name, sf_dir, record, executions):
     import __ray_entry__ as e
 
-    before = executions[0]
+    before = list(executions)
     _to_pandas(e.queries()[name](sf_dir))
-    got = executions[0] - before
+    got, probes = executions[0] - before[0], executions[2] - before[2]
     assert got <= record[name]["executions"], (
         f"{name}: {got} Ray executions, recorded {record[name]['executions']}"
     )
+    assert probes == 0, f"{name}: {probes} schema probes"
 
 
 def test_shipping_priority_runs_one_all_to_all_below_the_gate(sf_dir, executions):

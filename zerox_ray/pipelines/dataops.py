@@ -1937,7 +1937,7 @@ def corpus_datacard(sf_dir: str) -> ray.data.Dataset:
     )
 
     from zerox_ray.functions.hashing import md5_64_array
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     # both sides are O(langs × sources) — tiny; tag with the engine's
     # 63-bit md5 key convention on a \x1f-delimited pair (the separator
@@ -1962,7 +1962,7 @@ def corpus_datacard(sf_dir: str) -> ray.data.Dataset:
 
         return f
 
-    joined = hash_join(
+    joined = lookup_join(
         sums.map_batches(keyed(""), batch_format="pandas"),
         ndist.map_batches(keyed("r_"), batch_format="pandas"),
         on="k",

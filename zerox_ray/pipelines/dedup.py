@@ -1033,9 +1033,9 @@ def minhash_dedup_docs(sf_dir: str, **lsh_kwargs) -> ray.data.Dataset:
 
     Nothing materializes on the driver: components come from
     ``minlabel_components`` (object-store rounds) and the keeper filter
-    is a partitioned hash join of the corpus against the (small) label
+    is a left ``lookup_join`` of the corpus against the (small) label
     table — the 10^12-doc shape throughout."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     pairs = minhash_lsh_pairs(sf_dir, **lsh_kwargs)
     comp = minlabel_components(pairs)
@@ -1050,15 +1050,11 @@ def minhash_dedup_docs(sf_dir: str, **lsh_kwargs) -> ray.data.Dataset:
             ),
             batch_format="pandas",
         )
-    labels = comp.map_batches(
-        lambda df: df.rename(columns={"node": "doc_id", "label": "cluster_id"}),
-        batch_format="pandas",
-    )
-    joined = hash_join(docs, labels, on="doc_id", how="left")
+    joined = lookup_join(docs, comp, on="doc_id", how="left", right_on="node")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype("int64")
-        cluster = df["cluster_id"].fillna(ids).astype("int64")
+        cluster = df["label"].fillna(ids).astype("int64")
         keep = (ids == cluster).to_numpy()
         return pd.DataFrame(
             {"doc_id": ids[keep], "cluster_id": cluster[keep]}
@@ -1083,31 +1079,24 @@ def leakage_safe_split(
     granularity.
 
     Scale shape: minhash_dedup_docs' exact chain (LSH pairs → min-label
-    components → ONE doc_id hash join against the small label table)
+    components → ONE doc_id lookup join against the small label table)
     with the keeper filter replaced by a vectorized hash-range split
     map. Output: (doc_id, cluster_id, split), one row per document."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     pairs = minhash_lsh_pairs(sf_dir, **lsh_kwargs)
     comp = minlabel_components(pairs)
     docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     if comp.count() == 0:  # materialized + tiny — a cheap driver scalar
-        joined = docs.map_batches(
-            lambda df: df.assign(cluster_id=df["doc_id"].astype("int64")),
-            batch_format="pandas",
-        )
+        joined = docs
     else:
-        labels = comp.map_batches(
-            lambda df: df.rename(columns={"node": "doc_id", "label": "cluster_id"}),
-            batch_format="pandas",
-        )
-        joined = hash_join(docs, labels, on="doc_id", how="left")
+        joined = lookup_join(docs, comp, on="doc_id", how="left", right_on="node")
 
     test_hi, val_hi = test_ppm, test_ppm + val_ppm
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype("int64")
-        cluster = df["cluster_id"].fillna(ids).astype("int64") if "cluster_id" in df else ids
+        cluster = df["label"].fillna(ids).astype("int64") if "label" in df else ids
         h = md5_64_array(
             [str(int(c)).encode() for c in cluster]
         ) % np.uint64(1_000_000)

@@ -13,8 +13,9 @@ Scale design:
   (``agg.gathered``, up to ``agg.GATHER_MAX_BYTES``), kcore and the PageRank family run their whole
   fixed point in ONE Ray task on int64 keys — on a small graph the
   per-round barriers below cost more than the graph;
-- above the gate each PageRank round is ONE partitioned hash join
-  (ranks ⋈ edges on src) + ONE grouped sum keyed on dst + a union with
+- above the gate each PageRank round is ONE ranks lookup into the
+  edges on src (``relational.lookup_join``: a broadcast of the rank
+  table while it fits) + ONE grouped sum keyed on dst + a union with
   the node table for dangling receivers — rank state never lands on
   the driver on either path;
 - all arithmetic is integer (rank quantized at 1e6, floor divisions),
@@ -256,13 +257,12 @@ def anchor_augment(
 
     Scale shape: the ``inlink_summaries`` rollup (one dst-keyed
     exchange over O(links) short strings) LEFT-joined onto the pages
-    text via the partitioned 63-bit-url-key hash join — the join moves
-    each text exactly once and the anchor side is O(linked pages); at
-    the small-graph extreme the anchor rollup would fit a broadcast
-    (``relational.lookup_join``), kept out here because the general
-    corpus has anchor mass proportional to the corpus. Collision guard: the rollup side carries its url, rows are
+    text on the 63-bit url key by ``relational.lookup_join``: the
+    rollup (O(linked pages)) broadcasts while it fits, so the texts
+    never move, and above the gate the join moves each text once.
+    Collision guard: the rollup side carries its url, rows are
     dropped unless the urls match (same posture as rank_curate)."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "text"]) if isinstance(pages, str) else pages
     rollup = inlink_summaries(pages, prefix)
@@ -286,7 +286,7 @@ def anchor_augment(
             }
         )
 
-    joined = hash_join(
+    joined = lookup_join(
         ds.map_batches(key_text, batch_format="pandas"),
         rollup.map_batches(key_rollup, batch_format="pandas"),
         on="k",
@@ -294,7 +294,7 @@ def anchor_augment(
     )
 
     def compose(df: pd.DataFrame) -> pd.DataFrame:
-        # linkless corpus: hash_join resolves a schemaless empty right
+        # linkless corpus: lookup_join resolves a schemaless empty right
         # side by returning the left unchanged — no anchor columns at all
         if "url_a" not in df.columns:
             return pd.DataFrame(
@@ -336,11 +336,12 @@ def leaf_pages(
     dead ends (binary payloads, corrupt fetches, genuine leaf content).
     Output: (url), one row per leaf page.
 
-    Scale shape: an anti hash-join of the node table against the edge
-    srcs — both sides keyed on the 63-bit url hash, so the exchange
-    moves int64 keys + urls, never payloads. Duplicate srcs on the
-    probe side are free (anti-join semantics ignore multiplicity)."""
-    from zerox_ray.pipelines.relational import hash_join
+    Scale shape: an anti lookup join of the node table against the
+    edge srcs — both sides keyed on the 63-bit url hash, so only int64
+    keys (broadcast while they fit) or keys + urls (joined above the
+    gate) move, never payloads. Duplicate srcs are free (anti-join
+    semantics ignore multiplicity)."""
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     nodes = ds.select_columns(["url"]).map_batches(
@@ -356,7 +357,7 @@ def leaf_pages(
         lambda t: pa.table({"k": pa.array(_h63(t["src"].to_pylist()), pa.int64())}),
         batch_format="pyarrow",
     )
-    return hash_join(nodes, srcs, on="k", how="anti").map_batches(
+    return lookup_join(nodes, srcs, on="k", how="anti").map_batches(
         lambda df: pd.DataFrame({"url": df["url"].astype(object)}),
         batch_format="pandas",
     )
@@ -376,12 +377,12 @@ def crawl_depth(
 
     Scale shape: the seed list is a workload input (trusted seed lists
     are small), shipped once into the object store; each of the K fixed
-    rounds is ONE partitioned hash join (frontier ⋈ edges on src-key) +
-    one grouped min — the same per-round shape as PageRank, distances
-    staying in the object store between rounds. Depths are exact small
-    ints, so a K-round unrolled SQL oracle replays them bit-for-bit."""
-    from zerox_ray.pipelines.agg import bucketed_group_agg
-    from zerox_ray.pipelines.relational import hash_join
+    rounds looks the materialized distance table up from the edges on
+    src-key (``relational.lookup_join``) + one grouped min — the same
+    per-round shape as PageRank, distances staying in the object store
+    between rounds. Depths are exact small ints, so a K-round unrolled
+    SQL oracle replays them bit-for-bit."""
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     # ``edges``: share a pre-extracted (src, dst) table (see pagerank)
@@ -400,17 +401,16 @@ def crawl_depth(
     seed_df["depth"] = np.int64(0)
     dist = ray.data.from_pandas(seed_df[["k", "url", "depth"]]).materialize()
 
-    # size-aware exchange width, same rationale as pagerank: K rounds ×
-    # 2 shuffles each must not fan tiny frontiers into cluster-width
-    # bucket counts
+    # size-aware width of the grouped min, same rationale as pagerank:
+    # K rounds must not fan tiny frontiers into cluster-width buckets
     n_buckets = shuffle_width(ekeys.count())
 
     for _ in range(max_hops):
         # clean Arrow out (same rationale as pagerank's contribs): hops
         # unions with the Arrow dist table into the grouped-min shuffle
-        hops = hash_join(
-            ekeys, dist.select_columns(["k", "depth"]), on="k", num_buckets=n_buckets
-        ).map_batches(
+        # dist itself, not a projection of it: it is materialized, so the
+        # lookup spends no execution on it (its url rides along unread)
+        hops = lookup_join(ekeys, dist, on="k").map_batches(
             lambda df: pa.table(
                 {
                     "k": pa.array(_h63(df["dst"].tolist()), pa.int64()),
@@ -506,11 +506,11 @@ def crawl_frontier(
     a crawl scheduler sorts its recrawl queue by.
 
     Scale shape: both inputs are the already-bounded graph operators;
-    the combine is ONE partitioned hash join on the 63-bit url key plus
-    a vectorized map. ONE payload scan total: the edge list is extracted
-    and materialized here once — O(links), tiny — and both signals
-    consume it."""
-    from zerox_ray.pipelines.relational import hash_join
+    the combine is ONE ranks lookup (``relational.lookup_join``) on the
+    63-bit url key plus a vectorized map. ONE payload scan total: the
+    edge list is extracted and materialized here once — O(links), tiny
+    — and both signals consume it."""
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     edges = link_graph(ds, prefix).materialize()
@@ -539,7 +539,7 @@ def crawl_frontier(
         ),
         batch_format="pandas",
     )
-    joined = hash_join(depths, ranks, on="k")
+    joined = lookup_join(depths, ranks, on="k")
     return joined.map_batches(
         lambda df: pd.DataFrame(
             {
@@ -584,13 +584,14 @@ def link_components(
     representative (skew-free, unlike "lowest url") that the DuckDB
     oracle replays with a recursive-closure ``arg_min``.
 
-    Scale shape: href regex scan → two partitioned hash joins to
-    annotate endpoint languages (the node-attribute table is O(corpus),
-    so broadcast is NOT an option) → ``minlabel_components`` rounds in
-    the object store → two back-joins label→url. Everything after
-    extraction is O(edges + nodes) rows, tiny next to the payload bytes."""
+    Scale shape: href regex scan → two ``relational.lookup_join``s to
+    annotate endpoint languages (the node-attribute table broadcasts
+    while it passes the gate and is joined above it) →
+    ``minlabel_components`` rounds in the object store → two lookups
+    label→url. Everything after extraction is O(edges + nodes) rows,
+    tiny next to the payload bytes."""
     from zerox_ray.pipelines.dedup import minlabel_components
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = (
         read_pages(pages, columns=["url", lang_col, "html"])
@@ -607,10 +608,6 @@ def link_components(
         ),
         batch_format="pyarrow",
     ).materialize()
-    # size-aware exchange width for the four one-shot joins (same
-    # rationale as pagerank: don't fan a small node/edge table into
-    # cluster-width buckets); edges ≈ 3×nodes on a link graph
-    _nb = shuffle_width(3 * nodes.count())
 
     ekeys = link_graph(ds, prefix).map_batches(
         lambda t: pa.table(
@@ -629,8 +626,8 @@ def link_components(
         lambda t: pa.table({"dk": t["nk"], "dlang": t["nlang"]}),
         batch_format="pyarrow",
     )
-    with_src = hash_join(ekeys, src_lang, on="sk", num_buckets=_nb)
-    with_both = hash_join(with_src, dst_lang, on="dk", num_buckets=_nb)
+    with_src = lookup_join(ekeys, src_lang, on="sk")
+    with_both = lookup_join(with_src, dst_lang, on="dk")
     pairs = with_both.map_batches(
         lambda df: pd.DataFrame(
             {
@@ -653,19 +650,10 @@ def link_components(
             ),
             batch_format="pandas",
         )
-    lab = comp.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "nk": df["node"].astype("int64"),
-                "label": df["label"].astype("int64"),
-            }
-        ),
-        batch_format="pandas",
-    )
     # nodes ⟕ labels: isolated pages (no same-language edge) label
     # themselves; the Int64-nullable column from the left join is
     # filled with the node's own key before the representative lookup
-    labeled = hash_join(slim, lab, on="nk", how="left", num_buckets=_nb).map_batches(
+    labeled = lookup_join(slim, comp, on="nk", how="left", right_on="node").map_batches(
         lambda df: pd.DataFrame(
             {
                 "url": df["url"].astype(object),
@@ -680,7 +668,7 @@ def link_components(
         lambda t: pa.table({"label": t["nk"], "component": t["url"]}),
         batch_format="pyarrow",
     )
-    return hash_join(labeled, rep, on="label", num_buckets=_nb).map_batches(
+    return lookup_join(labeled, rep, on="label").map_batches(
         lambda df: pd.DataFrame(
             {
                 "url": df["url"].astype(object),
@@ -732,14 +720,14 @@ def component_sizes(
     )
 
 
-def _pagerank_keys(
+def _graph_keys(
     ds: ray.data.Dataset,
     prefix: str,
     edges: ray.data.Dataset | None,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """The PageRank family's int-key inputs, both materialized: nodes
-    (k, url), one row per page row, and the edge keys (sk, dk), one row
-    per link occurrence.
+    """The int-key inputs of the PageRank family and ``hits``, both
+    materialized: nodes (k, url), one row per page row, and the edge
+    keys (sk, dk), one row per link occurrence.
 
     Everything iterative runs on int64 url-keys: urls are hashed ONCE
     at the edges (63-bit md5) and joined back to strings once at the
@@ -837,7 +825,7 @@ def _pagerank_state(
 
     ``zeros`` is one (k, c=0) row per node — unioned into each round's
     grouped sum so dangling receivers emit without a second shuffle."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     # (sk, outdeg) — per-batch combiner then one grouped sum
     outdeg = bucketed_group_agg(
@@ -851,12 +839,12 @@ def _pagerank_state(
         ["sk"],
         {"outdeg": ("outdeg", "sum")},
     )
-    edges_deg = hash_join(ekeys, outdeg, on="sk").materialize()
+    edges_deg = lookup_join(ekeys, outdeg, on="sk").materialize()
 
-    # size-aware exchange widths: the iterative loop pays 2 shuffles per
-    # round, so tiny inputs must not fan out into cluster-width bucket
-    # counts (64 buckets × ~200 rows each is pure task overhead; measured
-    # 6 s/round → ~2.5 s/round at 5k nodes). Large inputs still reach the
+    # size-aware grouped-sum width: the loop pays it every round, so
+    # tiny inputs must not fan out into cluster-width bucket counts (64
+    # buckets × ~200 rows each is pure task overhead; measured 6 s/round
+    # → ~2.5 s/round at 5k nodes). Large inputs still reach the
     # CPU-scaled default.
 
     n_nodes = nodes.count()
@@ -896,13 +884,14 @@ def pagerank(
     exactly once per query.
 
     Scale shape: nodes (k, url) and edge keys (sk, dk) materialize once
-    (``_pagerank_keys``). While they pass the ``agg.gathered`` gate, the
+    (``_graph_keys``). While they pass the ``agg.gathered`` gate, the
     whole fixed point and the final url join run in ONE Ray task
     (``_rank_fixed_point``): three Ray executions in all, no exchange.
-    Above the gate each round is ONE partitioned hash join (ranks ⋈
-    edges_deg on sk) + ONE grouped sum keyed on dst, unioned with a zero
-    row per node for dangling receivers; rank state stays in the object
-    store, coalesced per round. Both paths emit identical rows."""
+    Above the gate each round is ONE ranks lookup into edges_deg on sk
+    (``relational.lookup_join``) + ONE grouped sum keyed on dst, unioned
+    with a zero row per node for dangling receivers; rank state stays in
+    the object store, coalesced per round. Both paths emit identical
+    rows."""
     return _rank(pages, iters, prefix, edges, None)
 
 
@@ -929,8 +918,8 @@ def personalized_pagerank(
 
     Scale shape: identical to ``pagerank`` — below the ``agg.gathered``
     gate the same one-task kernel runs the loop, with the seed keys in
-    its closure; above it, per round ONE partitioned hash join + ONE
-    grouped sum over int64 url-keys, state in the object store. The
+    its closure; above it, per round ONE ranks lookup + ONE grouped sum
+    over int64 url-keys, state in the object store. The
     seed set is a workload input (trusted lists are small), shipped
     ONCE via ``ray.put`` and probed with a vectorized ``np.isin`` when
     the per-round base term is added. Zero-valued contributions are
@@ -950,10 +939,10 @@ def _rank(
     """The PageRank family's loop, shared by ``pagerank`` (``seed_keys``
     None: every key is seeded) and ``personalized_pagerank``: the
     gathered kernel below the gate, the rounds above it."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
-    nodes, ekeys = _pagerank_keys(ds, prefix, edges)
+    nodes, ekeys = _graph_keys(ds, prefix, edges)
     small = gathered(_rank_fixed_point(iters, seed_keys), nodes, ekeys)
     if small is not None:
         return small
@@ -1004,7 +993,7 @@ def _rank(
         )
 
     for _ in range(iters):
-        joined = hash_join(edges_deg, ranks, on="sk", num_buckets=n_buckets)
+        joined = lookup_join(edges_deg, ranks, on="sk")
         # one exchange: dangling receivers ride in as zero rows so the
         # grouped sum emits every node
         total = bucketed_group_agg(
@@ -1019,7 +1008,7 @@ def _rank(
             .materialize()
         )
 
-    final = hash_join(
+    final = lookup_join(
         ranks.map_batches(
             lambda t: pa.table({"k": t["sk"], "r": t["r"]}),
             batch_format="pyarrow",
@@ -1057,36 +1046,20 @@ def hits(
     operation integer (sqrt has no exact integer replay). Output:
     (url, hub, authority) in micro-units, 0 for disconnected nodes.
 
-    Scale shape (the pagerank idioms): urls hashed once to int64 keys;
-    the edge list materialized once (pass a shared
+    Scale shape (the pagerank idioms): urls hashed once to int64 keys
+    (``_graph_keys``); the edge list materialized once (pass a shared
     ``link_graph(...).materialize()`` via ``edges`` when another
-    consumer holds it); each round is 2 partitioned joins + 2 grouped
-    sums + 2 SCALAR max pulls (the only driver state); per-round
-    coalesce + size-aware widths. Honest cap: a_raw ≤ maxindeg·S and
-    the rescale multiplies by S again, so int64 overflows when one
+    consumer holds it); each round is 2 state lookups into the edges
+    (``relational.lookup_join``) + 2 grouped sums + 2 SCALAR max pulls
+    (the only driver state); per-round coalesce + size-aware widths.
+    Honest cap: a_raw ≤ maxindeg·S and the rescale multiplies by S
+    again, so int64 overflows when one
     node's in-degree exceeds ~9×10⁶ — the upgrade path is a pre-shift
     (a_raw >> 20 before the multiply) at 1 µ-unit precision cost."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
-    nodes = ds.select_columns(["url"]).map_batches(
-        lambda t: pa.table(
-            {
-                "k": pa.array(_h63(t["url"].to_pylist()), pa.int64()),
-                "url": t["url"],
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    ekeys = (link_graph(ds, prefix) if edges is None else edges).map_batches(
-        lambda t: pa.table(
-            {
-                "sk": pa.array(_h63(t["src"].to_pylist()), pa.int64()),
-                "dk": pa.array(_h63(t["dst"].to_pylist()), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    nodes, ekeys = _graph_keys(ds, prefix, edges)
 
     n_nodes = nodes.count()
     n_edges = ekeys.count()
@@ -1133,7 +1106,7 @@ def hits(
             ),
             batch_format="pyarrow",
         )
-        joined = hash_join(tagged, state, on="k", num_buckets=n_buckets)
+        joined = lookup_join(tagged, state, on="k")
         raw = bucketed_group_agg(
             joined.map_batches(
                 lambda df: pa.table(
@@ -1187,7 +1160,7 @@ def hits(
     auth_full = bucketed_group_agg(
         auth.union(kzeros), ["k"], {"authority": ("v", "sum")}, num_buckets=n_buckets
     )
-    out = hash_join(hash_join(nodes, hub_full, on="k"), auth_full, on="k")
+    out = lookup_join(lookup_join(nodes, hub_full, on="k"), auth_full, on="k")
     return out.map_batches(
         lambda df: pd.DataFrame(
             {
@@ -1406,12 +1379,11 @@ def kcore(
         )
         kept = (
             lookup_join(
-                lookup_join(E, surv, on="ak", how="semi", num_buckets=n_buckets),
+                lookup_join(E, surv, on="ak", how="semi"),
                 surv,
                 on="bk",
                 how="semi",
                 right_on="ak",
-                num_buckets=n_buckets,
             )
             .repartition(coalesce_width(E.count()))
             .materialize()
@@ -2356,10 +2328,10 @@ def local_clustering(
     wedge center so each confirmed triangle credits all three corners
     in the membership co-group; per-node counts then need only ONE
     grouped sum over O(triangles) slim credit rows plus two int-key
-    left joins back to urls. int64 bound: the ppm numerator 2·t·1M
+    left lookup joins back to urls. int64 bound: the ppm numerator 2·t·1M
     needs t < 4.6e12 (deg ≲ 3M) — beyond that DuckDB's BIGINT errors
     rather than wraps, and the engine would need object-dtype math."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     nodes = ds.select_columns(["url"]).map_batches(
@@ -2449,19 +2421,10 @@ def local_clustering(
         bucketed_group_map(oriented.union(cand), "u", credit),
         ["node"],
         {"t": ("t", "sum")},
-    ).map_batches(
-        lambda df: df.rename(columns={"node": "k"}), batch_format="pandas"
     )
 
-    withdeg = hash_join(
-        nodes,
-        deg.map_batches(
-            lambda df: df.rename(columns={"v": "k"}), batch_format="pandas"
-        ),
-        on="k",
-        how="left",
-    )
-    full = hash_join(withdeg, tri, on="k", how="left")
+    withdeg = lookup_join(nodes, deg, on="k", how="left", right_on="v")
+    full = lookup_join(withdeg, tri, on="k", how="left", right_on="node")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         d = df["deg"].fillna(0).to_numpy(np.int64) if "deg" in df else np.zeros(len(df), np.int64)
@@ -2581,11 +2544,11 @@ def lpa_communities(
     through ``relational.lookup_join`` (a broadcast while it fits, ONE
     partitioned hash join above it; both paths pinned output-identical
     in pytest) — then per-batch partial (v, label) counts and ONE
-    v-bucketed reduce picking the argmax label; two label→url
-    back-joins finish (link_components' tail), and linkless pages come
-    from an anti lookup join against the labeled keys. Per-round cost
-    is O(m) rows of 24 B, state in the object store."""
-    from zerox_ray.pipelines.relational import hash_join, lookup_join
+    v-bucketed reduce picking the argmax label; two label→url lookups
+    finish (link_components' tail), and linkless pages come from an
+    anti lookup join against the labeled keys. Per-round cost is O(m)
+    rows of 24 B, state in the object store."""
+    from zerox_ray.pipelines.relational import lookup_join, rename_columns
 
     ds = read_pages(pages, columns=["url", "html"]) if isinstance(pages, str) else pages
     raw = link_graph(ds, prefix) if edges is None else edges
@@ -2661,36 +2624,29 @@ def lpa_communities(
         )
 
     for _ in range(rounds):
-        parts = lookup_join(
-            E, labels, on="u", right_on="v", num_buckets=n_buckets
-        ).map_batches(count_partial, batch_format="pandas")
+        parts = lookup_join(E, labels, on="u", right_on="v").map_batches(
+            count_partial, batch_format="pandas"
+        )
         labels = (
             bucketed_group_map(parts, "v", pick, num_buckets=n_buckets)
             .repartition(n_parts)
             .materialize()
         )
 
-    # label → representative url, node → url (link_components' tail)
-    lab_url = slim.map_batches(
-        lambda t: pa.table({"lab": t["nk"], "community": t["url"]}),
-        batch_format="pyarrow",
+    # label → representative url, node → url (link_components' tail),
+    # both looked up in the materialized slim table
+    communities = rename_columns(
+        lookup_join(labels, slim, on="lab", right_on="nk"), {"url": "community"}
     )
-    node_url = slim.map_batches(
-        lambda t: pa.table({"v": t["nk"], "url": t["url"]}),
-        batch_format="pyarrow",
+    resolved = lookup_join(communities, slim, on="v", right_on="nk").select_columns(
+        ["url", "community"]
     )
-    resolved = hash_join(
-        hash_join(labels, lab_url, on="lab", num_buckets=n_buckets),
-        node_url,
-        on="v",
-        num_buckets=n_buckets,
-    ).select_columns(["url", "community"])
 
     # linkless pages are their own community: anti-join against the
     # labeled key set
-    rest = lookup_join(
-        slim, labels, on="nk", how="anti", right_on="v", num_buckets=n_buckets
-    ).map_batches(own, batch_format="pyarrow")
+    rest = lookup_join(slim, labels, on="nk", how="anti", right_on="v").map_batches(
+        own, batch_format="pyarrow"
+    )
     return resolved.union(rest)
 
 
@@ -2721,7 +2677,7 @@ def bowtie_census(
     Scale shape: the payload is scanned ONCE — the (src, dst) edge
     table is materialized and shared by the seed pick, the forward BFS
     and (column-swapped) the backward BFS (each a ``crawl_depth`` run:
-    per round ONE partitioned hash join + ONE grouped min). Seed pick =
+    per round ONE distance lookup + ONE grouped min). Seed pick =
     per-batch top-1 partials over the inlink rollup (≤1 row per block
     reaches the driver). The CORE intersection is the count of a semi
     ``relational.lookup_join`` of the backward keys against the forward

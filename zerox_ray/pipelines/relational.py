@@ -8,18 +8,23 @@ Scale design:
   nation dims) is ``ray.put`` ONCE and read zero-copy by every task —
   never a shuffle, never re-shipped per batch. Each batch pre-aggregates
   (combiner) so the final groupby exchanges ~|nations| rows per block.
+- **Lookup join** (`lookup_join`): the join pipelines call. A keyed
+  table (nodes, labels, ranks, degrees, dims, key sets) is attached to
+  another side (inner/left/semi/anti). The table is materialized; while
+  its bytes fit ``agg.fits_broadcast`` its blocks ship once and every
+  other-side batch is joined in place, so no side's schema is asked
+  for; else it is ``hash_join``. Both paths run the same per-partition
+  kernel (``_join_kernel``).
 - **Hash join** (`hash_join`): both sides are tagged with their side,
   padded to one column set and unioned, and the union goes through
   ``agg._bucketed`` on the key: the engine's one keyed exchange, ONE
   all-to-all, buckets ``agg._bucket_ids`` of the key. Inside a bucket an
   Arrow index join (``_join_kernel``) matches the two sides and gathers
   their columns with ``take``, so every column keeps its Arrow type.
-  Supported: inner, left, semi and anti.
-- **Lookup join** (`lookup_join`): a keyed table attached to another
-  side (inner/left/semi/anti). The table is materialized; while its
-  bytes fit ``agg.fits_broadcast`` its blocks ship once and every
-  other-side batch is joined in place, else it is ``hash_join``. Both
-  paths run the same per-partition kernel (``_join_kernel``).
+  Supported: inner, left, semi and anti. Padding needs both schemas, so
+  a lazy side costs a ``limit(1)`` run of its plan (Ray's answer to
+  ``Dataset.schema()``); that probe is left only above ``lookup_join``'s
+  gate and at the fact⋈fact joins ``hash_join`` names as its callers.
 - **As-of join** (`asof_purchase_view`): per-key ordered semantics →
   ``bucketed_group_map`` on ``user_id`` + in-bucket sort + vectorized
   ``merge_asof`` (no global sort). Concurrency comes from many users; a
@@ -133,13 +138,19 @@ def _kernel_frame(t: pa.Table) -> pd.DataFrame:
     """A join result as pandas consumers read it: Ray's Arrow → pandas
     conversion, except that an integer column holding nulls becomes
     pandas nullable Int64 / UInt64 instead of float64, which would round
-    values above 2^53."""
+    values above 2^53, and that a list column (``list<float>``
+    embeddings) stays Arrow-backed (``pd.ArrowDtype``), nulls and type
+    intact: as ndarrays, mixed with a left join's None in one block or
+    across blocks, Ray's pandas → Arrow conversion tries, and fails, to
+    cast it to a tensor column."""
     df = BlockAccessor.for_block(t).to_pandas()
     for c, col in zip(t.column_names, t.columns):
         if pa.types.is_integer(col.type) and col.null_count:
             signed = pa.types.is_signed_integer(col.type)
             nullable = pd.Int64Dtype() if signed else pd.UInt64Dtype()
             df[c] = col.to_pandas(types_mapper=lambda _: nullable)
+        elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+            df[c] = col.to_pandas(types_mapper=pd.ArrowDtype)
     return df
 
 
@@ -210,7 +221,25 @@ def hash_join(
     keyed exchange, ``agg._bucketed`` on ``on`` (``key % B`` for
     integers, ``crc32(text) % B`` otherwise; ``B`` defaults to
     ``agg.shuffle_width()``), and ``_join_kernel`` joins each bucket's
-    two sides in Arrow."""
+    two sides in Arrow.
+
+    The padding needs both schemas: on a lazy side, ``schema()`` makes
+    Ray run a ``limit(1)`` copy of that side's plan (a probe; an
+    exchange in it runs twice). Pipelines therefore call
+    ``lookup_join``, which materializes the right side and calls this
+    only above its broadcast gate, where the left side's probe is the
+    one left (see there). The direct callers are the fact⋈fact joins
+    whose right side is payload that must stream into the exchange, not
+    be materialized to measure its size:
+
+    - ``dedup._verify_pairs_by_join``, ``_verify_containment_by_join``
+      and ``_verify_vec_pairs_by_join`` (the pair-verify paths of
+      ``minhash_lsh_pairs``, ``containment_pairs`` and
+      ``embedding_near_dup`` above their whole-file broadcast gate):
+      the candidate pairs against corpus text or embeddings, once per
+      pair side;
+    - ``revenue_by_priority``: per-order lineitem partials against
+      orders, a fact table the size of the left side."""
     kernel = _join_kernel(on, how)
     # a rowless side can surface with NO schema at all (e.g. a groupby
     # over an empty stream) — resolve the join semantically instead of
@@ -285,20 +314,27 @@ def lookup_join(
     on: str,
     how: str = "inner",
     right_on: str | None = None,
-    num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Join ``left`` against the keyed table ``right`` (inner, left,
     semi or anti), by broadcast when ``right`` is small and by
     ``hash_join`` otherwise. ``right_on`` names right's key column when
-    it is not ``on``; the output carries it as ``on``.
+    it is not ``on``; the output carries it as ``on``. This is the join
+    pipelines call; ``hash_join``'s docstring names the few that call it
+    directly.
 
-    ``right`` is materialized, and its bytes come from Ray's block
-    metadata (no extra pass). When ``agg.fits_broadcast`` of them holds,
-    the right blocks ship once — each worker fetches and concatenates
-    them once (``agg.worker_cached``) — and every left batch is joined
-    in place, so ``left`` never enters an exchange. Otherwise this is
-    ``hash_join(left, right, on, num_buckets, how)``. Both paths run
-    ``_join_kernel``, so they emit the same rows.
+    ``right`` is materialized (pass a materialized table to spend no
+    execution on it), and its bytes come from Ray's block metadata (no
+    extra pass). When ``agg.fits_broadcast`` of them holds, the right
+    blocks ship once — each worker fetches and concatenates them once
+    (``agg.worker_cached``) — and every left batch is joined in place,
+    so ``left`` never enters an exchange and no schema is probed.
+    Otherwise this is ``hash_join(left, right, on, how=how)`` at its
+    default width: the right side then holds more than 1 GiB, where a
+    size-aware width is the default anyway. That path's probe is
+    ``left.schema()`` on a lazy left; the materialized right side's
+    schema is known, unless ``right_on`` renames it (then one block of
+    it is read again). Both paths run ``_join_kernel``, so they emit
+    the same rows.
 
     This is the one place a keyed lookup chooses between broadcast and
     join: a test drives every caller down the join path by setting
@@ -311,7 +347,7 @@ def lookup_join(
         # a schemaless right is rowless: hash_join resolves it unshuffled
         if rename and known:
             right = rename_columns(right, rename)
-        return hash_join(left, right, on, num_buckets=num_buckets, how=how)
+        return hash_join(left, right, on, how=how)
 
     refs = block_refs(right)
     key = ("lookup", on, right_on, *(ref.hex() for ref in refs))
@@ -328,7 +364,11 @@ def lookup_join(
 
 def revenue_by_priority(sf_dir: str) -> ray.data.Dataset:
     """lineitem ⋈ orders on orderkey → revenue per order priority.
-    Output: (o_orderpriority, n_items, revenue_cents)."""
+    Output: (o_orderpriority, n_items, revenue_cents).
+
+    A fact⋈fact join, so a direct ``hash_join``: orders is as large as
+    the per-order lineitem partials and streams into the exchange
+    rather than being materialized to be measured."""
     li = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -708,13 +748,13 @@ def _recent_order_customers(sf_dir: str, since_us: int) -> ray.data.Dataset:
 def dormant_customers(
     sf_dir: str, since: str = "2001-06-01"
 ) -> ray.data.Dataset:
-    """Customers with NO order at/after ``since`` — a partitioned ANTI
-    join (engine-added; the reference has no joins, SURVEY §2.5). The
-    existence probe is `hash_join(how='anti')`: both sides bucket by
-    key hash, right side is pre-deduped per batch, and each bucket task
-    does one vectorized isin — no driver materialization, O(keys)
-    shuffle on the probe side. Output: (c_custkey, c_name,
-    acctbal_cents)."""
+    """Customers with NO order at/after ``since`` — an ANTI join
+    (engine-added; the reference has no joins, SURVEY §2.5). The
+    existence test is `lookup_join(how='anti')` against the recent
+    order custkeys (pre-deduped per batch): broadcast while they fit,
+    else both sides bucket by key hash; either way each task does one
+    vectorized isin and nothing lands on the driver. Output:
+    (c_custkey, c_name, acctbal_cents)."""
     since_us = int(pd.Timestamp(since).value // 1_000)
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
@@ -731,20 +771,20 @@ def dormant_customers(
     cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"]
     ).map_batches(project, batch_format="pandas")
-    return hash_join(
+    return lookup_join(
         cust, _recent_order_customers(sf_dir, since_us), on="c_custkey", how="anti"
     )
 
 
 def active_segments(sf_dir: str, since: str = "2001-06-01") -> ray.data.Dataset:
     """Market segments of customers WITH an order at/after ``since`` —
-    partitioned SEMI join feeding a bucketed rollup. Output:
+    a SEMI lookup join feeding a bucketed rollup. Output:
     (c_mktsegment, n_customers)."""
     since_us = int(pd.Timestamp(since).value // 1_000)
     cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
-    active = hash_join(
+    active = lookup_join(
         cust, _recent_order_customers(sf_dir, since_us), on="c_custkey", how="semi"
     )
     counts = active.map_batches(
@@ -945,13 +985,14 @@ def priority_price_quantiles(
 
 def lang_embedding_centroids(sf_dir: str) -> ray.data.Dataset:
     """Per-language embedding centroid (quantized-exact): embeddings
-    joined to their documents' lang via the partitioned hash join, then
+    joined to their documents' lang via ``lookup_join``, then
     per-(lang, dim) sums of floor(1e6·x) — integer micro-units so the
     reduction is order-free and the oracle value-checks every cell.
     Output: (lang, dim, sum_q, n_vecs); centroid = sum_q / n_vecs / 1e6.
 
-    Scale shape: ONE bucketed join exchange (embedding payloads move
-    once) + per-batch dense partial sums (n_langs × 64 rows per batch)
+    Scale shape: the (doc_id, lang) table broadcast while it fits (else
+    ONE bucketed join exchange; the embedding payloads never move in
+    either) + per-batch dense partial sums (n_langs × 64 rows per batch)
     + a tiny grouped merge — no driver materialization anywhere."""
     def quantize(df: pd.DataFrame) -> pd.DataFrame:
         # list<float> → one binary cell of int64 micro-units per row:
@@ -977,7 +1018,7 @@ def lang_embedding_centroids(sf_dir: str) -> ray.data.Dataset:
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(quantize, batch_format="pandas")
     langs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
-    joined = hash_join(emb, langs, on="doc_id")
+    joined = lookup_join(emb, langs, on="doc_id")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:  # one-sided join bucket → empty block here
@@ -1063,8 +1104,8 @@ def brand_region_revenue(sf_dir: str) -> ray.data.Dataset:
     only big movement — dims (part/supplier/nation/region) broadcast
     once via ``ray.put`` after composing the supplier→nation→region
     chain on the driver (all dim tables are lookup-sized; a dim too big
-    to broadcast is what hash_join is for). Per-batch combiner → one
-    tiny exchange over ≤ |brands|·|regions| rows.
+    to broadcast is what lookup_join's join path is for). Per-batch
+    combiner → one tiny exchange over ≤ |brands|·|regions| rows.
     Output: (p_brand, r_name, n_items, revenue_cents)."""
     part_ref = ray.put(
         pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])

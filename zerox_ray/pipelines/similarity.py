@@ -526,14 +526,16 @@ def semantic_dedup(
 
     Scale shape: the distributed Lloyd's rounds come from
     ``kmeans_clusters`` (≤k partial rows per batch per round); the
-    (vec_id, cluster) assignment joins back to the 1e-4-quantized
-    vectors with a partitioned hash join; ONE groupby(cluster) co-locates
+    narrow (vec_id, cluster) assignment is looked up from the streamed
+    1e-4-quantized vectors (``lookup_join``: a broadcast while it fits,
+    so the vector payload never enters a join exchange); ONE
+    groupby(cluster) co-locates
     each cluster, and the pairwise check is a vectorized integer matmul
     per cluster. Cluster size bounds the quadratic term — at 10^12 docs
     pick k ~ n/5k like the paper so a cluster's vectors fit one task.
     Output: (vec_id, cluster, kept, dup_of) — dup_of = lowest-id
     same-cluster vector with cosine ≥ threshold, else -1."""
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     clusters = kmeans_clusters(sf_dir, k, iters)
 
@@ -551,7 +553,7 @@ def semantic_dedup(
     qemb = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).map_batches(quantize4, batch_format="pandas")
-    joined = hash_join(clusters, qemb, on="vec_id")
+    joined = lookup_join(qemb, clusters, on="vec_id")
     return joined.groupby("cluster").map_groups(
         _semantic_group,
         batch_format="pandas",

@@ -716,19 +716,19 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
     materialized once and reused by both consumers: (1) the document
     frequency table via per-batch partial counts (a document is one row,
     so in-batch distinct pairs are globally distinct) + ONE k-grouped
-    sum; (2) a left hash join of the pairs against the df≥2 "common"
-    keys, finished by per-batch partial per-doc counts + ONE doc-grouped
-    sum. Three bounded exchanges over token-scale integer rows, payload
-    read once. At heavy-tail web scale the common-key side is the SMALL
-    side (recurring bigrams ≪ singletons) — below the 1 GiB gate it
-    broadcasts instead of joining (the agg.fits_broadcast idiom; kept
-    as the partitioned join here since the common mass grows with the
-    corpus). Honest cap: 63-bit bigram keys birthday-collide around
-    3×10⁹ distinct bigrams; a collision conflates two bigrams' document
-    frequencies (slightly deflating novelty) — the SQL oracle replays
-    the same keys, so correctness checks remain bit-exact."""
+    sum; (2) a left ``lookup_join`` of the pairs against the df≥2
+    "common" keys, finished by per-batch partial per-doc counts + ONE
+    doc-grouped sum. Bounded exchanges over token-scale integer rows,
+    payload read once. At heavy-tail web scale the common-key side is
+    the SMALL side (recurring bigrams ≪ singletons): it broadcasts while
+    it passes ``agg.fits_broadcast`` and is joined above it, as the
+    common mass grows with the corpus. Honest cap: 63-bit bigram keys
+    birthday-collide around 3×10⁹ distinct bigrams; a collision
+    conflates two bigrams' document frequencies (slightly deflating
+    novelty) — the SQL oracle replays the same keys, so correctness
+    checks remain bit-exact."""
     from zerox_ray.functions.hashing import md5_64_array
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -788,7 +788,7 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
         )
     )
 
-    tagged = hash_join(pairs, common, on="k", how="left")
+    tagged = lookup_join(pairs, common, on="k", how="left")
 
     def doc_partial(df: pd.DataFrame) -> pd.DataFrame:
         real = (df["k"] >= 0).to_numpy()

@@ -218,14 +218,15 @@ def extraction_parity(
     stripped sides plus the 0/1 verdict.
 
     Scale shape: each side reduces to a 16-hex md5 fingerprint of its
-    stripped text INSIDE the scan, so the ONE url-keyed hash join moves
-    (key, fingerprint, n_chars) rows — document payloads never ride the
-    exchange. 63-bit join keys carry both url copies for the usual
+    stripped text INSIDE the scan, so the ONE url-keyed lookup join
+    (a broadcast of the reference side while it fits) moves (key,
+    fingerprint, n_chars) rows — document payloads never ride it.
+    63-bit join keys carry both url copies for the usual
     collision guard (equality-filtered after the join)."""
     import hashlib
 
     from zerox_ray.pipelines.graph import _h63
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
     from zerox_ray.sources.pages import read_pages
 
     docs = run_ocr(pages, cfg)
@@ -265,7 +266,7 @@ def extraction_parity(
         if isinstance(pages, str)
         else pages.select_columns(["url", "text"])
     )
-    joined = hash_join(
+    joined = lookup_join(
         docs.map_batches(md_side, batch_format="pyarrow"),
         refs.map_batches(ref_side, batch_format="pyarrow"),
         on="k",
@@ -370,7 +371,7 @@ def rank_curate(
     the refinement path at extreme tie mass is a secondary h-range split
     of the modal rank value."""
     from zerox_ray.pipelines.graph import pagerank
-    from zerox_ray.pipelines.relational import hash_join
+    from zerox_ray.pipelines.relational import lookup_join
 
     keepers = _curated_keepers(pages, cfg, min_tokens)
     ranks = pagerank(pages)
@@ -400,7 +401,7 @@ def rank_curate(
             }
         )
 
-    joined = hash_join(
+    joined = lookup_join(
         keepers.map_batches(key_keep, batch_format="pandas"),
         ranks.map_batches(key_rank, batch_format="pandas"),
         on="k",
