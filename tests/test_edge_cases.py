@@ -7,8 +7,8 @@ import pytest
 from zerox_ray.functions.schema import validate_llm_params
 from zerox_ray.models.mock import DeterministicExtractorModel
 from zerox_ray.pipelines.dataops import _quality_batch
+from zerox_ray.pipelines.extraction import _cached_model
 from zerox_ray.pipelines.relational import _asof_bucket
-from zerox_ray.stages.reassemble import _cached_model
 
 
 def test_asof_bucket_purchases_without_views():

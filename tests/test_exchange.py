@@ -14,7 +14,7 @@ import ray
 import ray.data
 
 from zerox_ray.pipelines import agg, relational, similarity
-from zerox_ray.stages.reassemble import _cached_model
+from zerox_ray.pipelines.extraction import _cached_model
 
 
 def _ids(col, n):

@@ -13,7 +13,9 @@ means the loop fell back to its per-round barriers,
 ``random_walks``, whose per-step states are materialized so the final
 union runs no step's join again (its all-to-alls are counted too), and
 ``hits``, ``local_clustering`` and ``crawl_depth``, whose keyed lookups
-go through ``relational.lookup_join``.
+go through ``relational.lookup_join``, and the flagship OCR queries
+``ocr_documents`` and ``ocr_maintain_format``, whose plan is one map
+operator after the scan (the url check before it is a plain Ray task).
 
 Every query here also runs with no schema probe: no ``limit(1)`` copy
 of a lazy plan run to answer ``Dataset.schema()`` (``hash_join`` asks
@@ -56,6 +58,8 @@ QUERIES = [
     "hits",
     "local_clustering",
     "crawl_depth",
+    "ocr_documents",
+    "ocr_maintain_format",
 ]
 
 
@@ -109,3 +113,16 @@ def test_random_walks_runs_no_step_twice(sf_dir, executions):
     before = list(executions)
     _to_pandas(e.queries()["random_walks"](sf_dir))
     assert executions[1] - before[1] <= 4
+
+
+@pytest.mark.parametrize("name", ["ocr_documents", "ocr_maintain_format"])
+def test_ocr_runs_no_all_to_all(name, sf_dir, executions):
+    """Each url is split, scored and joined inside one map call, in both
+    modes: the OCR plan has no exchange and its url check no execution."""
+    import __ray_entry__ as e
+
+    before = list(executions)
+    _to_pandas(e.queries()[name](sf_dir))
+    assert executions[0] - before[0] == 1
+    assert executions[1] - before[1] == 0
+    assert executions[2] - before[2] == 0

@@ -314,6 +314,55 @@ class TestSnapshotUniqueness:
             with pytest.raises(Exception, match="one-row-per-url|duplicate"):
                 run_ocr(ds.drop_columns(["warc_ts", "text", "lang"]), cfg).to_pandas()
 
+    @staticmethod
+    def _one_row_blocks(table: pa.Table) -> list[pa.Table]:
+        return [table.slice(i, 1) for i in range(table.num_rows)]
+
+    @pytest.mark.parametrize(
+        "entry, mf",
+        [(run_ocr, False), (run_ocr, True), (extracted_pages, True)],
+    )
+    def test_duplicate_urls_in_different_blocks_raise(self, entry, mf):
+        """One row per block and one doc row per kernel call: no block
+        or call ever holds both rows of u1, yet the url check names it
+        (the maintain_format page table runs the same check)."""
+        blocks = self._one_row_blocks(self._dup_table().select(["url", "html"]))
+        ds = ray.data.from_arrow(blocks)
+        assert ds.num_blocks() == 3
+        cfg = ZeroxConfig(maintain_format=mf, split_batch_size=1)
+        with pytest.raises(ValueError, match="'u1'.*one-row-per-url"):
+            entry(ds, cfg)
+
+    @pytest.mark.parametrize("mf", [False, True])
+    def test_duplicate_urls_in_different_files_raise(self, mf, tmp_path):
+        """Path input: one file per row; one Ray task reads the url
+        column and names the duplicate."""
+        import pyarrow.parquet as pq
+
+        for i, block in enumerate(self._one_row_blocks(self._dup_table())):
+            pq.write_table(block, str(tmp_path / f"pages-{i}.parquet"))
+        cfg = ZeroxConfig(maintain_format=mf, split_batch_size=1)
+        with pytest.raises(ValueError, match="'u1'.*one-row-per-url"):
+            run_ocr(str(tmp_path), cfg)
+
+    def test_url_check_above_the_gate_counts_by_exchange(self, tmp_path, monkeypatch):
+        """Above agg.GATHER_MAX_BYTES the check is a bucketed count: it
+        still names the duplicate, for a path and a Dataset input, and
+        passes unique input."""
+        import pyarrow.parquet as pq
+
+        from zerox_ray.pipelines import agg
+        from zerox_ray.sources.pages import require_unique_urls
+
+        monkeypatch.setattr(agg, "GATHER_MAX_BYTES", -1)
+        table = self._dup_table()
+        for i, block in enumerate(self._one_row_blocks(table)):
+            pq.write_table(block, str(tmp_path / f"pages-{i}.parquet"))
+        for pages in (str(tmp_path), ray.data.from_arrow(self._one_row_blocks(table))):
+            with pytest.raises(ValueError, match="'u1'"):
+                require_unique_urls(pages)
+        require_unique_urls(ray.data.from_arrow(table.slice(1)))
+
     def test_latest_snapshot_only_collapses(self, tmp_path):
         import pyarrow.parquet as pq
 
@@ -372,6 +421,21 @@ class TestGiantDocChunking:
                 "url",
             )
             pd.testing.assert_frame_equal(on, off)
+
+    @pytest.mark.parametrize("mf", [False, True])
+    def test_kernel_join_matches_reassemble_bucket(self, pages_dir, mf):
+        """The kernel's per-url join against the bucket reassembly over
+        the page rows, with giant docs chunked into 4-page ranges and one
+        range per step, so a url's pages straddle steps (the corpus has
+        24-page docs and corrupt docs)."""
+        from zerox_ray.stages.reassemble import reassemble_bucket
+
+        cfg = ZeroxConfig(maintain_format=mf, giant_page_threshold=4, split_batch_size=1)
+        got = _sorted(run_ocr(pages_dir, cfg).to_pandas(), "url")
+        pages = extracted_pages(pages_dir, cfg).to_pandas()
+        assert (pages.groupby("url").page_index.max() > 4).any()
+        want = _sorted(reassemble_bucket(pages), "url")
+        pd.testing.assert_frame_equal(got, want)
 
     def test_split_cost_per_row_is_bounded(self):
         """The point of the chunking: after chunk_giant_docs, no single

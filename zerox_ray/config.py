@@ -39,11 +39,17 @@ class ZeroxConfig:
     extract_per_page: list[str] | None = None
     extract_only: bool = False
     # physical knobs (per-stage Ray Data settings)
-    split_batch_size: int = 64       # payload-heavy rows → small batches
+    # doc rows per split call (and per DocumentOCR call, which also
+    # splits at most this many page ranges per step): payload-heavy
+    # rows → small batches
+    split_batch_size: int = 64
+    # fragment rows per score / extract call on the free-order page
+    # table and the extraction stages
     score_batch_size: int = 256
-    # page_count-aware skew handling: docs estimated above this many
-    # pages are pre-chunked into page-range work items so split/score
-    # cost per row is bounded (stages/split.py:chunk_giant_docs).
+    # page_count-aware page ranges: docs estimated above this many
+    # pages are walked in page ranges of this size, so the fragments
+    # alive per split/score step stay bounded (stages/split.py:
+    # chunk_giant_docs; the ranges stay in their doc's task).
     # None disables chunking. Default 64 = pathological-PDF guard that
     # never fires on typical web documents (see GIANT_PAGE_THRESHOLD).
     giant_page_threshold: int | None = 64

@@ -142,6 +142,12 @@ def fits_broadcast(nbytes: int) -> bool:
     return nbytes <= BROADCAST_MAX_BYTES
 
 
+def fits_gathered(nbytes: int) -> bool:
+    """True when ``nbytes`` of state may go to one task: it passes
+    ``fits_broadcast`` and is at most ``GATHER_MAX_BYTES``."""
+    return fits_broadcast(nbytes) and nbytes <= GATHER_MAX_BYTES
+
+
 def block_refs(ds: ray.data.Dataset) -> list:
     """Object refs of a materialized dataset's blocks."""
     return [ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
@@ -180,8 +186,7 @@ def gathered(kernel, *inputs: ray.data.Dataset) -> ray.data.Dataset | None:
     above the gate: the caller then runs its distributed rounds. Each
     input reaches the kernel as one ``concat_blocks`` table, so a rowless
     input may have no columns."""
-    nbytes = sum(ds.size_bytes() for ds in inputs)
-    if not fits_broadcast(nbytes) or nbytes > GATHER_MAX_BYTES:
+    if not fits_gathered(sum(ds.size_bytes() for ds in inputs)):
         return None
     refs = [block_refs(ds) for ds in inputs]
     # block refs passed as top-level arguments are fetched by Ray itself

@@ -8,7 +8,8 @@ Parity map:
   directImageExtraction variant would feed the fragment bytes instead;
   same stage, different input column).
 - full-doc extraction (index.ts:482-537): pages joined with
-  "\\n<hr><hr>\\n" (G2) inside the pid-bucket group, then one model call.
+  "\\n<hr><hr>\\n" (G2) inside the pid-bucket group (``_merge_bucket``, a
+  pid exchange of its own), then one model call.
 - merge (index.ts:435-443, 539-552): per-page results become
   {key: [{page, value}, ...]}, full-doc results shallow-merge on top —
   an order-sensitive grouped reduce (sorted by page_index).
@@ -137,17 +138,24 @@ def extract_pages(
     for prop in schema.get("properties", {}).values():
         _prop_type(prop)  # build-time validation (clear driver error)
     rows = _content_rows(pages, cfg, num_partitions)
-    fn, kwargs = _stage_kwargs(
-        cfg,
-        PageExtractor,
-        {
-            "schema": schema,
-            "model_provider": cfg.model_provider,
-            "model_kwargs": cfg.resolved_model_kwargs(),
-        },
-        cfg.score_batch_size,
+    extractor = PageExtractor(
+        schema=schema,
+        model_provider=cfg.model_provider,
+        model_kwargs=cfg.resolved_model_kwargs(),
     )
-    return rows.map_batches(fn, **kwargs)
+    return rows.map_batches(extractor, **_stage_kwargs(cfg, cfg.score_batch_size))
+
+
+def _cached_model(provider: str, kwargs: dict | None):
+    """One model per (worker process, config): ``_merge_bucket`` runs in
+    the exchange's reduce tasks, so the model is built once per worker
+    through the per-worker cache. Key is repr-based: model_kwargs
+    legitimately contain unhashable values (e.g. a credentials dict for
+    networked providers)."""
+    from zerox_ray.pipelines.agg import worker_cached
+
+    key = ("model", provider, repr(sorted((kwargs or {}).items())))
+    return worker_cached(key, lambda: create_model(provider, **(kwargs or {})))
 
 
 def _merge_bucket(
@@ -162,8 +170,6 @@ def _merge_bucket(
     The G5 grouped reduce: per-page values appended in page order as
     {key: [{page, value}...]}, full-doc values shallow-merged on top
     (index.ts:435-443, 539-552)."""
-    from zerox_ray.stages.reassemble import _cached_model
-
     model = _cached_model(model_provider, model_kwargs)
     all_urls = set(df["url"])
     df = df[df["status"] == STATUS_SUCCESS].sort_values(
@@ -181,7 +187,7 @@ def _merge_bucket(
         merged: dict = {}
         if per_page_schema is not None:
             # column zip, not iterrows — measured ~10× faster in the
-            # identical maintain_format fold loop (reassemble.py:216)
+            # maintain_format fold loop
             for pi, content in zip(
                 g["page_index"].to_numpy(), g["content"].tolist()
             ):

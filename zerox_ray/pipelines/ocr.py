@@ -4,22 +4,26 @@ Dataflow (SURVEY §3.4), all lazy/streaming until a sink consumes it:
 
     read_parquet(pages, columns=[url, html])      # pruned scan
       → map_batches(ClassifyPayload)              # vectorized sniff + pid
-      → map_batches(PageSplitter)                 # 1 doc → N fragment rows
-      → map_batches(Scorer)                       # fragment → markdown row
-      → groupby(pid).map_groups(reassemble)       # the ONE shuffle
-                                                  # (url-hash buckets)
+      → map_batches(DocumentOCR)                  # per doc: split → score
+                                                  # → join, in one call
 
-maintain_format mode replaces the free-order Scorer with a per-url
-sequential fold inside the same bucketed shuffle (§2.11) — scoring AND
-reassembly then happen in one map_groups call; still exactly one shuffle.
+No all-to-all: zerox keeps no state across documents (SURVEY §1.1), and
+``stages.reassemble.DocumentOCR`` finishes every url inside the map call
+that holds its doc row, so the sink takes each batch's documents as soon
+as they are scored. maintain_format runs the same kernel, folding each
+url's pages in order (§2.11). The url-uniqueness precondition the
+kernel relies on is checked before the plan runs, on keys only
+(``sources.pages.require_unique_urls``).
 
 Scale notes (100 TB design):
-- the only all-to-all is the pid exchange; P (num_partitions) is the
-  shuffle width, derived from cluster CPUs at build time (resume
-  granularity is separate: input-file shards, state/manifest.py);
+- ``pid`` (crc32(url) % P, P derived from cluster CPUs at build time)
+  still tags the page rows: the extraction merge exchanges on it
+  (pipelines/extraction.py); the OCR plan does not. Resume granularity
+  is the input-file shard (state/manifest.py);
 - every stage is a stateless task UDF (an instance built once on the
-  driver, or a function), so Ray fuses classify→split→score into one
-  map operator; payload-heavy stages use small batch sizes so batch ×
+  driver, or a function), so Ray fuses classify and the kernel into one
+  map operator; the kernel takes ``split_batch_size`` doc rows per call
+  and splits at most that many page ranges at once, so batch ×
   concurrency fits worker heaps;
 - nothing materializes the full dataset: consume with write_parquet /
   iter_batches / aggregates.
@@ -33,31 +37,27 @@ import ray.data
 
 from zerox_ray.config import ZeroxConfig
 from zerox_ray.models.base import create_model
-from zerox_ray.sources.pages import read_pages
+from zerox_ray.sources.pages import read_pages, require_unique_urls
 from zerox_ray.stages.classify import (
     DEFAULT_NUM_PARTITIONS,  # noqa: F401 — re-exported for callers/tests
     ClassifyPayload,
     default_num_partitions,
 )
-from zerox_ray.stages.reassemble import (
-    maintain_format_fold_bucket,
-    merge_partials_bucket,
-    partial_reassemble_block,
-    reassemble_bucket,
-)
+from zerox_ray.stages.reassemble import DocumentOCR
 from zerox_ray.stages.score import Scorer
-from zerox_ray.stages.split import PageSplitter
+from zerox_ray.stages.split import PageSplitter, chunk_giant_docs
 
 
 def _as_dataset(pages) -> ray.data.Dataset:
-    if isinstance(pages, str):
+    if isinstance(pages, (str, list, tuple)):
         return read_pages(pages)
     return pages
 
 
-def _stage_kwargs(cfg: ZeroxConfig, cls, ctor_kwargs: dict, batch_size: int) -> tuple:
-    """(fn, map_batches kwargs) for the split/score/extract stages: a
-    task UDF instance built once on the driver, capped at
+def _stage_kwargs(cfg: ZeroxConfig, batch_size: int) -> dict:
+    """map_batches kwargs for the split/score/extract stages and the
+    document kernel (task UDF instances built once on the driver):
+    Arrow batches of ``batch_size`` rows, capped at
     ``cfg.actor_concurrency`` concurrent tasks when that is set."""
     kwargs = {
         "batch_format": "pyarrow",
@@ -66,44 +66,43 @@ def _stage_kwargs(cfg: ZeroxConfig, cls, ctor_kwargs: dict, batch_size: int) -> 
     }
     if cfg.actor_concurrency is not None:
         kwargs["concurrency"] = cfg.actor_concurrency
-    return cls(**ctor_kwargs), kwargs
+    return kwargs
+
+
+def _classified(pages, num_partitions: int | None) -> ray.data.Dataset:
+    """pages → classified doc rows (kind, pid, page_count appended).
+    ``num_partitions`` None → derived from cluster CPUs at build time."""
+    if num_partitions is None:
+        num_partitions = default_num_partitions()
+    return _as_dataset(pages).map_batches(
+        ClassifyPayload(num_partitions), batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
+def _splitter(cfg: ZeroxConfig) -> PageSplitter:
+    return PageSplitter(select_pages=cfg.select_pages, error_mode=cfg.error_mode)
 
 
 def _fragments(
-    pages: ray.data.Dataset | str,
+    pages: ray.data.Dataset | str | list[str],
     cfg: ZeroxConfig,
     num_partitions: int | None,
 ) -> ray.data.Dataset:
-    """pages → page-fragment rows (classify + split). ``num_partitions``
-    None → derived from cluster CPUs at build time."""
+    """pages → page-fragment rows (classify + split), for the free-order
+    page table and extraction."""
     # a bad provider name or missing credentials fail here, at plan
-    # build, on every path (the maintain_format fold and full-doc
-    # extraction build their models on the workers)
+    # build, on every path (full-doc extraction builds its models on
+    # the workers)
     create_model(cfg.model_provider, **cfg.resolved_model_kwargs())
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    ds = _as_dataset(pages)
-    ds = ds.map_batches(
-        ClassifyPayload(num_partitions), batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _classified(pages, num_partitions)
     if cfg.giant_page_threshold is not None:
-        # page_count-aware skew repartition: giant docs become bounded
-        # page-range work items (task-fusable map, no shuffle)
-        from zerox_ray.stages.split import chunk_giant_docs
-
         ds = ds.map_batches(
             chunk_giant_docs,
             fn_kwargs={"chunk_pages": cfg.giant_page_threshold},
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-    fn, kwargs = _stage_kwargs(
-        cfg,
-        PageSplitter,
-        {"select_pages": cfg.select_pages, "error_mode": cfg.error_mode},
-        cfg.split_batch_size,
-    )
-    return ds.map_batches(fn, **kwargs)
+    return ds.map_batches(_splitter(cfg), **_stage_kwargs(cfg, cfg.split_batch_size))
 
 
 def _fold_kwargs(cfg: ZeroxConfig) -> dict:
@@ -115,207 +114,30 @@ def _fold_kwargs(cfg: ZeroxConfig) -> dict:
     }
 
 
-def fold_and_reassemble_bucket(df, **fold_kwargs):
-    """maintain_format: score (ordered fold) and reassemble one pid bucket
-    in a single call — avoids a second pid shuffle."""
-    return reassemble_bucket(maintain_format_fold_bucket(df, **fold_kwargs))
-
-
-# --- maintain_format combiner: fold interior urls before the shuffle ---------
-#
-# The per-url fold carries NO cross-url state (prior_tail resets to ""
-# per url), so any url whose fragments are all inside one block can fold
-# locally, byte-identically. Only urls touching a block edge (whose
-# completeness the block cannot prove) ship their raw fragments through
-# the pid exchange. The shuffle then moves ~1 doc row per interior url
-# plus ≤2 urls' fragments per block — not every page payload.
-
-_MF_DOC_COLS = [
-    "url",
-    "markdown",
-    "total_pages",
-    "ocr_successful",
-    "ocr_failed",
-    "input_tokens",
-    "output_tokens",
-]
-
-
-def mf_fold_block(df, **fold_kwargs):
-    """One BLOCK of fragment rows → mixed rows: folded doc rows for
-    interior urls (row_kind='doc') + raw fragment rows for the block's
-    first/last urls (row_kind='frag')."""
-    import pandas as pd
-
-    if len(df) == 0:
-        # TYPED empty frame: untyped (all-object) columns would clash
-        # with non-empty blocks' schemas at the pid exchange
-        empty = {
-            "row_kind": pd.Series([], dtype="string"),
-            "pid": pd.Series([], dtype="int64"),
-            "page_index": pd.Series([], dtype="int64"),
-            "frag_kind": pd.Series([], dtype="string"),
-            "fragment": pd.Series([], dtype=object),
-        }
-        for c in _MF_DOC_COLS:
-            empty[c] = pd.Series(
-                [], dtype="string" if c in ("url", "markdown") else "int64"
-            )
-        return pd.DataFrame(empty)
-    urls = df["url"]
-    edge = (urls == urls.iloc[0]) | (urls == urls.iloc[-1])
-    out_parts = []
-    interior = df[~edge]
-    if len(interior):
-        docs = fold_and_reassemble_bucket(interior, **fold_kwargs)
-        docs.insert(0, "row_kind", "doc")
-        docs["pid"] = interior.groupby("url", sort=True)["pid"].first().reindex(docs["url"]).to_numpy()
-        docs["page_index"] = 0
-        docs["frag_kind"] = ""
-        docs["fragment"] = b""
-        out_parts.append(docs)
-    boundary = df[edge]
-    if len(boundary):
-        frags = pd.DataFrame(
-            {
-                "row_kind": "frag",
-                "url": boundary["url"],
-                "pid": boundary["pid"],
-                "page_index": boundary["page_index"],
-                "frag_kind": boundary["kind"],
-                "fragment": boundary["fragment"],
-            }
-        )
-        for c in _MF_DOC_COLS[1:]:
-            frags[c] = 0 if c != "markdown" else ""
-        out_parts.append(frags)
-    cols = ["row_kind", "pid", "page_index", "frag_kind", "fragment"] + _MF_DOC_COLS
-    return pd.concat(out_parts, ignore_index=True)[cols]
-
-
-_PAGE_COLS = [
-    "url",
-    "pid",
-    "page_index",
-    "content",
-    "content_length",
-    "status",
-    "error",
-    "input_tokens",
-    "output_tokens",
-]
-
-
-def mf_fold_block_pages(df, **fold_kwargs):
-    """Page-rows variant of the maintain_format combiner: interior urls
-    fold to extracted PAGE rows in-block; edge urls pass raw fragments
-    (row_kind='frag') to the pid exchange."""
-    import pandas as pd
-
-    from zerox_ray.stages.reassemble import maintain_format_fold_bucket
-
-    if len(df) == 0:
-        # TYPED empty frame (see mf_fold_block): schema-stable at the
-        # pid exchange
-        str_cols = {"row_kind", "frag_kind", "url", "content", "status", "error"}
-        empty = {"row_kind": pd.Series([], dtype="string"),
-                 "frag_kind": pd.Series([], dtype="string"),
-                 "fragment": pd.Series([], dtype=object)}
-        for c in _PAGE_COLS:
-            empty[c] = pd.Series(
-                [], dtype="string" if c in str_cols else "int64"
-            )
-        return pd.DataFrame(empty)
-    urls = df["url"]
-    edge = (urls == urls.iloc[0]) | (urls == urls.iloc[-1])
-    parts = []
-    interior = df[~edge]
-    if len(interior):
-        pages = maintain_format_fold_bucket(interior, **fold_kwargs)
-        pages.insert(0, "row_kind", "page")
-        pages["frag_kind"] = ""
-        pages["fragment"] = b""
-        parts.append(pages)
-    boundary = df[edge]
-    if len(boundary):
-        frags = pd.DataFrame(
-            {
-                "row_kind": "frag",
-                "url": boundary["url"],
-                "pid": boundary["pid"],
-                "page_index": boundary["page_index"],
-                "frag_kind": boundary["kind"],
-                "fragment": boundary["fragment"],
-            }
-        )
-        for c in ("content", "status", "error"):
-            frags[c] = ""
-        for c in ("content_length", "input_tokens", "output_tokens"):
-            frags[c] = 0
-        parts.append(frags)
-    return pd.concat(parts, ignore_index=True)[
-        ["row_kind", "frag_kind", "fragment"] + _PAGE_COLS
-    ]
-
-
-def mf_merge_bucket_pages(df, **fold_kwargs):
-    """One pid bucket of mixed rows → extracted page rows."""
-    import pandas as pd
-
-    from zerox_ray.stages.reassemble import maintain_format_fold_bucket
-
-    pages = df[df["row_kind"] == "page"][_PAGE_COLS]
-    frag = df[df["row_kind"] == "frag"]
-    parts = [pages]
-    if len(frag):
-        raw = frag.rename(columns={"frag_kind": "kind"})[
-            ["url", "pid", "page_index", "kind", "fragment"]
-        ]
-        parts.append(maintain_format_fold_bucket(raw, **fold_kwargs)[_PAGE_COLS])
-    out = pd.concat(parts, ignore_index=True)
-    dup = out.duplicated(["url", "page_index"])
-    if dup.any():
-        raise ValueError(
-            f"url {out.loc[dup, 'url'].iloc[0]!r} produced duplicate page "
-            "rows: input violates the one-row-per-url precondition "
-            "(read_pages latest_snapshot_only=True collapses snapshots)"
-        )
-    return out.sort_values(["url", "page_index"], kind="mergesort").reset_index(
-        drop=True
+def _documents(
+    pages: ray.data.Dataset | str | list[str],
+    cfg: ZeroxConfig,
+    num_partitions: int | None,
+    emit_pages: bool = False,
+) -> ray.data.Dataset:
+    """pages → ``DocumentOCR`` rows: documents, or with ``emit_pages``
+    extracted page rows. The kernel needs url-unique input: the public
+    entry points call ``require_unique_urls`` after building this plan,
+    whose read has validated a path's schema by then."""
+    ds = _classified(pages, num_partitions)
+    kernel = DocumentOCR(
+        _splitter(cfg),
+        Scorer(**_fold_kwargs(cfg)),
+        chunk_pages=cfg.giant_page_threshold,
+        step=cfg.split_batch_size,
+        maintain_format=cfg.maintain_format,
+        emit_pages=emit_pages,
     )
-
-
-def mf_merge_bucket(df, **fold_kwargs):
-    """One pid bucket of mixed rows → final doc rows: doc rows pass
-    through; frag rows (boundary urls, now complete) fold here.
-
-    GUARD (url uniqueness, see sources/pages.py): a url folded as
-    interior in one block must not reappear anywhere else — a duplicate
-    here means the input carried multiple rows per url (unmerged WARC
-    snapshots) and the outputs would silently duplicate. Fail loudly."""
-    import pandas as pd
-
-    docs = df[df["row_kind"] == "doc"][_MF_DOC_COLS]
-    frag = df[df["row_kind"] == "frag"]
-    parts = [docs]
-    if len(frag):
-        raw = frag.rename(columns={"frag_kind": "kind"})[
-            ["url", "pid", "page_index", "kind", "fragment"]
-        ]
-        parts.append(fold_and_reassemble_bucket(raw, **fold_kwargs)[_MF_DOC_COLS])
-    out = pd.concat(parts, ignore_index=True)
-    dup = out["url"].duplicated()
-    if dup.any():
-        raise ValueError(
-            f"url {out.loc[dup, 'url'].iloc[0]!r} produced multiple document "
-            "rows: input violates the one-row-per-url precondition "
-            "(read_pages latest_snapshot_only=True collapses snapshots)"
-        )
-    return out.sort_values("url", kind="mergesort").reset_index(drop=True)
+    return ds.map_batches(kernel, **_stage_kwargs(cfg, cfg.split_batch_size))
 
 
 def extracted_pages(
-    pages: ray.data.Dataset | str,
+    pages: ray.data.Dataset | str | list[str],
     cfg: ZeroxConfig | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
@@ -324,26 +146,20 @@ def extracted_pages(
     status, error, input_tokens, output_tokens).
 
     Page order across blocks is NOT meaningful — order is a per-url
-    property, restored wherever a url's rows are colocated (O1)."""
+    property, restored wherever a url's rows are colocated (O1).
+
+    maintain_format folds each url's pages in order inside
+    ``DocumentOCR`` (one map call per batch of docs, no exchange), after
+    the same url check as ``run_ocr``; the free-order path scores the
+    fragment rows directly."""
     cfg = cfg or ZeroxConfig()
-    frags = _fragments(pages, cfg, num_partitions)
     if cfg.maintain_format:
-        # ordered per-url fold: sequential within url, concurrent across
-        # buckets (§2.11) — combiner folds interior urls in-block, only
-        # block-edge urls colocate raw fragments via the shuffle.
-        mixed = frags.map_batches(
-            mf_fold_block_pages,
-            batch_format="pandas",
-            batch_size=None,
-            fn_kwargs=_fold_kwargs(cfg),
-        )
-        return mixed.groupby("pid").map_groups(
-            mf_merge_bucket_pages,
-            batch_format="pandas",
-            fn_kwargs=_fold_kwargs(cfg),
-        )
-    fn, kwargs = _stage_kwargs(cfg, Scorer, _fold_kwargs(cfg), cfg.score_batch_size)
-    return frags.map_batches(fn, **kwargs)
+        rows = _documents(pages, cfg, num_partitions, emit_pages=True)
+        require_unique_urls(pages)
+        return rows
+    frags = _fragments(pages, cfg, num_partitions)
+    scorer = Scorer(**_fold_kwargs(cfg))
+    return frags.map_batches(scorer, **_stage_kwargs(cfg, cfg.score_batch_size))
 
 
 def logprob_stats(pages_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -391,42 +207,21 @@ def logprob_stats(pages_ds: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def run_ocr(
-    pages: ray.data.Dataset | str,
+    pages: ray.data.Dataset | str | list[str],
     cfg: ZeroxConfig | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """pages → documents table (url, markdown, total_pages, ocr_successful,
     ocr_failed, input_tokens, output_tokens); markdown byte-identical per
-    url regardless of parallelism (north-star invariant)."""
-    cfg = cfg or ZeroxConfig()
-    if cfg.maintain_format:
-        # combiner fold: interior urls fold inside their block; only
-        # block-edge urls ship raw fragments through the pid exchange
-        frags = _fragments(pages, cfg, num_partitions)
-        mixed = frags.map_batches(
-            mf_fold_block,
-            batch_format="pandas",
-            batch_size=None,
-            fn_kwargs=_fold_kwargs(cfg),
-        )
-        return mixed.groupby("pid").map_groups(
-            mf_merge_bucket,
-            batch_format="pandas",
-            fn_kwargs=_fold_kwargs(cfg),
-        )
-    # combiner reassembly: pre-aggregate page rows → per-url partials
-    # inside each block (batch_size=None → whole block), THEN exchange on
-    # pid and merge. The shuffle moves ~1 row per url instead of 1 per
-    # page; merge order comes from first_page, so the markdown is
-    # byte-identical whatever the block layout (reassemble.py combiner
-    # notes). reassemble_bucket stays the single-shuffle reference path.
-    scored = extracted_pages(pages, cfg, num_partitions)
-    partials = scored.map_batches(
-        partial_reassemble_block, batch_format="pandas", batch_size=None
-    )
-    return partials.groupby("pid").map_groups(
-        merge_partials_bucket, batch_format="pandas"
-    )
+    url regardless of parallelism (north-star invariant).
+
+    One map operator after the scan: every url is split, scored and
+    joined inside ``DocumentOCR`` (maintain_format: folded), with no
+    exchange. A url that appears in more than one input row raises
+    ``ValueError`` naming it, before the plan runs."""
+    docs = _documents(pages, cfg or ZeroxConfig(), num_partitions)
+    require_unique_urls(pages)
+    return docs
 
 
 def write_markdown_files(docs: ray.data.Dataset, out_dir: str) -> int:
@@ -503,4 +298,7 @@ def run_ocr_incremental(
         batch_format="pyarrow",
     )
     todo = lookup_join(keyed, changed, on="k", how="semi").drop_columns(["k"])
-    return run_ocr(todo, cfg)
+    # url-unique by construction (one snapshot per url, and a semi-join
+    # keeps each row at most once), so run_ocr's url check, which would
+    # run the delta and the snapshot collapse again, is skipped
+    return _documents(todo, cfg or ZeroxConfig(), None)

@@ -17,7 +17,9 @@ import glob
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 PAGES_SCHEMA = pa.schema(
@@ -31,11 +33,9 @@ PAGES_SCHEMA = pa.schema(
 )
 
 
-def validate_pages_schema(path: str | list[str]) -> None:
-    """Fail fast (driver-side, one footer read) if the input does not carry
-    the input_hint columns with the expected types. Extra columns are
-    allowed; missing/mistyped ones are an error (SURVEY §1.2: the engine
-    validates the fixed schema on read)."""
+def parquet_files(path: str | list[str]) -> list[str]:
+    """The parquet files of a pages input: an explicit file list, every
+    ``*.parquet`` under a directory, or the one file."""
     if isinstance(path, (list, tuple)):
         files = list(path)
     elif os.path.isdir(path):
@@ -44,7 +44,15 @@ def validate_pages_schema(path: str | list[str]) -> None:
         files = [path]
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
-    actual = pq.read_schema(files[0])
+    return files
+
+
+def validate_pages_schema(path: str | list[str]) -> None:
+    """Fail fast (driver-side, one footer read) if the input does not carry
+    the input_hint columns with the expected types. Extra columns are
+    allowed; missing/mistyped ones are an error (SURVEY §1.2: the engine
+    validates the fixed schema on read)."""
+    actual = pq.read_schema(parquet_files(path)[0])
     for field in PAGES_SCHEMA:
         idx = actual.get_field_index(field.name)
         if idx < 0:
@@ -69,13 +77,14 @@ def read_pages(
 
     PRECONDITION (url uniqueness): the OCR pipeline assumes each url
     appears ONCE in its input — duplicates (multiple WARC snapshots of a
-    url, which ``warc_ts`` makes realistic) would interleave duplicated
-    page rows into one document (in-block) or trip the merge stage's
-    overlap guard (across blocks). Pass ``latest_snapshot_only=True`` to
-    collapse snapshots to the newest per url at ingest (one bucketed
-    groupby — the snapshot-corpus path), or pre-deduplicate upstream.
-    The same assumption underpins shard independence in
-    state/manifest.py (all rows of a url in one shard)."""
+    url, which ``warc_ts`` makes realistic) would become two documents
+    of one url. ``run_ocr`` (and the maintain_format page table) refuse
+    such input before their plan runs: ``require_unique_urls`` raises
+    naming the url. Pass ``latest_snapshot_only=True`` to collapse
+    snapshots to the newest per url at ingest (one bucketed groupby —
+    the snapshot-corpus path), or pre-deduplicate upstream. The same
+    assumption underpins shard independence in state/manifest.py (all
+    rows of a url in one shard)."""
     validate_pages_schema(path)
     cols = list(columns)
     # the snapshot collapse needs warc_ts (recency), url (the key) and
@@ -95,7 +104,90 @@ def read_pages(
     return ds
 
 
-#: coarse url-hash buckets for the snapshot-dedupe groupby
+def _first_duplicate(urls: pa.ChunkedArray | pa.Array) -> str | None:
+    """The first url, in input order, that appears more than once."""
+    counts = pc.value_counts(urls)
+    dups = counts.field("values").filter(pc.greater(counts.field("counts"), 1))
+    return dups[0].as_py() if len(dups) else None
+
+
+def _url_column_bytes(files: list[str]) -> int:
+    """Uncompressed bytes of the ``url`` column, from the parquet footers."""
+    nbytes = 0
+    for f in files:
+        meta = pq.read_metadata(f)
+        for g in range(meta.num_row_groups):
+            group = meta.row_group(g)
+            for c in range(group.num_columns):
+                if group.column(c).path_in_schema == "url":
+                    nbytes += group.column(c).total_uncompressed_size
+    return nbytes
+
+
+@ray.remote
+def _duplicate_in_files(files: list[str]) -> str | None:
+    cols = [pq.read_table(f, columns=["url"])["url"].cast(pa.large_string()) for f in files]
+    return _first_duplicate(
+        pa.chunked_array([c for col in cols for c in col.chunks], pa.large_string())
+    )
+
+
+@ray.remote
+def _duplicate_in_blocks(*blocks) -> str | None:
+    from zerox_ray.pipelines.agg import concat_blocks
+
+    keys = concat_blocks(blocks)
+    return _first_duplicate(keys["url"]) if keys.num_rows else None
+
+
+def _duplicate_by_exchange(keys: ray.data.Dataset) -> str | None:
+    """A duplicate url through one ``bucketed_group_agg`` count, for key
+    columns above the one-task gate."""
+    from zerox_ray.pipelines.agg import bucketed_group_agg
+
+    counts = bucketed_group_agg(keys, ["url"], {"n": ("url", "size")})
+    dups = counts.filter(expr="n > 1").take(1)
+    return dups[0]["url"] if dups else None
+
+
+def require_unique_urls(pages: ray.data.Dataset | str | list[str]) -> None:
+    """Raise ``ValueError`` naming a url that appears in more than one
+    row of ``pages`` (the url-uniqueness precondition of ``read_pages``).
+
+    The check reads keys only and runs outside the OCR plan, so that plan
+    keeps no exchange:
+
+    - a path input: one Ray task reads the parquet ``url`` column and
+      counts it with ``pc.value_counts``; no Ray Data execution, and only
+      the footers are read on the driver;
+    - a Dataset input: one Ray Data execution materializes its ``url``
+      column (re-running the input's own plan), then one Ray task counts
+      the blocks.
+
+    Above ``agg.fits_gathered`` (``GATHER_MAX_BYTES`` of url column, from
+    the parquet metadata for a path, the block metadata for a Dataset)
+    the count is a ``bucketed_group_agg`` exchange instead: one more
+    execution."""
+    from zerox_ray.pipelines.agg import block_refs, fits_gathered
+
+    if isinstance(pages, ray.data.Dataset):
+        keys = pages.select_columns(["url"]).materialize()
+        if fits_gathered(keys.size_bytes()):
+            dup = ray.get(_duplicate_in_blocks.remote(*block_refs(keys)))
+        else:
+            dup = _duplicate_by_exchange(keys)
+    else:
+        files = parquet_files(pages)
+        if fits_gathered(_url_column_bytes(files)):
+            dup = ray.get(_duplicate_in_files.remote(files))
+        else:
+            dup = _duplicate_by_exchange(read_pages(files, columns=("url",)))
+    if dup is not None:
+        raise ValueError(
+            f"url {dup!r} appears in more than one input row: input violates "
+            "the one-row-per-url precondition (read_pages "
+            "latest_snapshot_only=True collapses snapshots)"
+        )
 
 
 def latest_snapshots(

@@ -6,8 +6,8 @@ reference sniffs one file at a time; here the sniff is a zero-copy
 pyarrow.compute expression over the whole Arrow batch.
 
 Adds: ``kind`` ∈ {pdf, html, cfb, unknown} and ``pid`` (stable url-hash
-partition id — the reassembly/resume partition key, computed once here and
-carried through every downstream stage).
+partition id — the extraction merge's exchange key, computed once here and
+carried on every page row).
 """
 
 from __future__ import annotations

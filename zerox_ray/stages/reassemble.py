@@ -1,37 +1,52 @@
-"""Per-url reassembly and the maintain_format ordered fold.
+"""Per-url reassembly: the doc-local OCR kernel and the maintain_format
+ordered fold.
 
-The ONLY shuffle in the OCR pipeline: page rows are exchanged on ``pid``
-(crc32(url) % P — assigned once in classify) and each bucket is processed
-as a single vectorized pandas call. Grouping by the hash bucket instead of
-by raw ``url`` (a) amortizes per-group Python overhead over thousands of
-urls per call and (b) makes the shuffle partition ids STABLE — the same
-ids the checkpoint/resume manifests use (SURVEY §4).
+``DocumentOCR`` is the flagship's per-document stage. zerox keeps no
+state across documents (document → page images → per-page OCR →
+markdown joined per document, SURVEY §1.1), so each classified doc row
+is split, scored and joined inside the one map call that holds it: the
+OCR plan has no exchange and no barrier before its sink. Distinct urls
+are the precondition (``sources.pages.require_unique_urls`` checks it
+before the plan runs); a url's fragments then arrive contiguous and in
+page order, which is all the join needs.
 
-Byte-identity invariant: group order comes ONLY from the
-(url, page_index) sort inside the bucket — never from block arrival order
-— so the concatenated markdown is identical across cluster sizes.
+Byte-identity invariant: a url's markdown is its SUCCESS pages' content
+in page order, so it is identical across block layouts, batch sizes and
+cluster sizes.
 
 Parity:
 - markdown join "\\n\\n": node index.ts:566 / py zerox.py:172. Failed pages
   are dropped from the markdown but counted (py zerox.py:162 filters
   failures out of the aggregation; summary counters index.ts:592-606).
-- summary counters (G3-G4): groupby aggregate instead of closure ints
-  (index.ts:83-88, 325-337).
 - maintain_format fold (§2.11): sequential per-url loop carrying the prior
   page's tail (index.ts:357-365; CONSISTENCY_PROMPT constants.ts:8-9),
   BREAKING the chain on the first page error (index.ts:361-364) — pages
   after an error in the same url are not scored. Concurrency comes from
-  many urls (buckets), exactly the reference's "synchronous per doc,
+  many urls (batches), exactly the reference's "synchronous per doc,
   concurrent across docs" trade-off (README.md:135).
+
+``reassemble_bucket`` (one bucket of page rows → documents) is the
+reference the kernel's join is tested against. ``partial_reassemble_block``
+and ``merge_partials_bucket`` are the combiner pair of the exchange-based
+plan this kernel replaced; no pipeline calls them, and they stay for the
+benchmark's single-process replay and the property tests.
 """
 
 from __future__ import annotations
 
-import pandas as pd
+from itertools import groupby
+from operator import itemgetter
 
-from zerox_ray.models.base import create_model
-from zerox_ray.pipelines.agg import worker_cached
-from zerox_ray.stages.score import STATUS_SUCCESS, complete_with_retries, completion_to_row
+import pandas as pd
+import pyarrow as pa
+
+from zerox_ray.stages.score import (
+    STATUS_SUCCESS,
+    Scorer,
+    completion_to_row,
+    rows_to_table,
+)
+from zerox_ray.stages.split import FRAGMENT_SCHEMA, PageSplitter, chunk_giant_docs
 
 PAGE_JOIN = "\n\n"
 DOC_JOIN = "\n<hr><hr>\n"  # full-doc extraction separator (index.ts:482-491)
@@ -83,15 +98,13 @@ def reassemble_bucket(df: pd.DataFrame) -> pd.DataFrame:
     ]
 
 
-# --- combiner: partial reassembly before the shuffle -------------------------
+# --- combiner pair of the replaced exchange plan ----------------------------
 #
-# The splitter emits every fragment of a url contiguously inside one
-# block, so each block can be pre-aggregated into per-url PARTIAL
-# document rows before the pid exchange (the classic combiner: shuffle
-# 1 row per (url, block) instead of 1 per page). The merge stage orders
-# partials by first_page, so the result is byte-identical even when a
-# giant url's fragments straddle block boundaries — this doubles as the
-# hierarchical-concat path for 10^5-page documents (SURVEY §7).
+# The exchange-based plan pre-aggregated each block of page rows into
+# per-url PARTIAL document rows, exchanged them on pid and merged the
+# partials by first_page (byte-identical even when a url's fragments
+# straddle blocks). No pipeline runs it any more; see the module
+# docstring.
 
 
 def partial_reassemble_block(df: pd.DataFrame) -> pd.DataFrame:
@@ -212,79 +225,103 @@ def merge_partials_bucket(df: pd.DataFrame) -> pd.DataFrame:
     ]
 
 
-# --- maintain_format: per-url ordered fold over raw fragments ----------------
-
-def _cached_model(provider: str, kwargs: dict | None):
-    """One model per (worker process, config) — map_groups runs as tasks, so
-    the model is built once per worker through the per-worker cache.
-    Key is repr-based: model_kwargs legitimately contain unhashable
-    values (e.g. a credentials dict for networked providers)."""
-    key = ("model", provider, repr(sorted((kwargs or {}).items())))
-    return worker_cached(key, lambda: create_model(provider, **(kwargs or {})))
 
 
-def maintain_format_fold_bucket(
-    df: pd.DataFrame,
-    model_provider: str = "deterministic",
-    model_kwargs: dict | None = None,
-    error_mode: str = "IGNORE",
-    max_retries: int = 1,
-) -> pd.DataFrame:
-    """One pid bucket of FRAGMENT rows → extracted page rows, scored
-    sequentially per url with prior-tail conditioning (§2.11)."""
-    from zerox_ray.models.base import Completion
+# --- the doc-local kernel ----------------------------------------------------
 
-    model = _cached_model(model_provider, model_kwargs)
-    df = df.sort_values(["url", "page_index"], kind="mergesort")
-    # url-uniqueness guard (sources/pages.py): duplicate fragments would
-    # interleave into one fold and corrupt the chain silently
-    dup = df.duplicated(["url", "page_index"])
-    if dup.any():
-        raise ValueError(
-            f"url {df.loc[dup, 'url'].iloc[0]!r} has duplicate page "
-            "fragments: input violates the one-row-per-url precondition "
-            "(read_pages latest_snapshot_only=True collapses snapshots)"
+#: the documents table (SURVEY §1.2), as ``DocumentOCR`` emits it
+DOCUMENT_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("markdown", pa.large_string()),
+        ("total_pages", pa.int64()),
+        ("ocr_successful", pa.int64()),
+        ("ocr_failed", pa.int64()),
+        ("input_tokens", pa.int64()),
+        ("output_tokens", pa.int64()),
+    ]
+)
+
+
+def join_pages(pages: list[dict]) -> pa.Table:
+    """Extracted page rows, each url's rows contiguous and in page order
+    → one documents row per url: its SUCCESS pages' content joined with
+    ``PAGE_JOIN``, every page counted."""
+    cols: dict[str, list] = {name: [] for name in DOCUMENT_SCHEMA.names}
+    for url, rows in groupby(pages, key=itemgetter("url")):
+        rows = list(rows)
+        ok = [r["content"] for r in rows if r["status"] == STATUS_SUCCESS]
+        cols["url"].append(url)
+        cols["markdown"].append(PAGE_JOIN.join(ok))
+        cols["total_pages"].append(len(rows))
+        cols["ocr_successful"].append(len(ok))
+        cols["ocr_failed"].append(len(rows) - len(ok))
+        cols["input_tokens"].append(sum(r["input_tokens"] for r in rows))
+        cols["output_tokens"].append(sum(r["output_tokens"] for r in rows))
+    return pa.table(cols, schema=DOCUMENT_SCHEMA)
+
+
+class DocumentOCR:
+    """Task map_batches UDF: classified doc rows → one documents row per
+    url, or with ``emit_pages`` its extracted page rows; every url is
+    finished inside the call that holds its row.
+
+    Each row's pages are walked in the page ranges ``chunk_giant_docs``
+    makes (``chunk_pages`` None: one range per row), at most ``step``
+    ranges per step. A step splits its ranges and scores their
+    fragments, so ``step`` ranges of fragments are the most alive at
+    once, and the scorer keeps ``model.inflight`` requests open across
+    all of them. Under ``maintain_format`` the fragments are folded
+    instead: each url's in page order, conditioned on the prior page's
+    tail, its chain stopped at its first error; the chain carries over
+    a step boundary."""
+
+    def __init__(
+        self,
+        splitter: PageSplitter,
+        scorer: Scorer,
+        chunk_pages: int | None,
+        step: int,
+        maintain_format: bool = False,
+        emit_pages: bool = False,
+    ):
+        self.splitter = splitter
+        self.scorer = scorer
+        self.chunk_pages = chunk_pages
+        self.step = step
+        self.maintain_format = maintain_format
+        self.emit_pages = emit_pages
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.chunk_pages is not None:
+            batch = chunk_giant_docs(batch, self.chunk_pages)
+        steps = (
+            self.splitter(batch.slice(start, self.step))
+            for start in range(0, batch.num_rows, self.step)
         )
-    rows: list[dict] = []
-    for url, g in df.groupby("url", sort=True):
-        prior_tail = ""
-        broken = False
-        for pid, page_index, kind, fragment in zip(
-            g["pid"].to_numpy(), g["page_index"].to_numpy(), g["kind"], g["fragment"]
-        ):
-            if broken:
-                break  # error breaks the chain (index.ts:361-364)
-            if kind == "error":
-                err = (fragment or b"corrupt payload").decode("utf-8", "replace")
-                if error_mode == "THROW":
-                    raise ValueError(f"{url}: {err}")
-                comp = Completion("", 0, 0, error=err)
-            else:
-                comp = complete_with_retries(
-                    model,
-                    bytes(fragment),
-                    kind,
-                    max_retries,
-                    error_mode,
-                    maintain_format=True,
-                    prior_tail=prior_tail,
+        if self.maintain_format:
+            pages = self._fold(steps)
+        else:
+            pages = [row for frags in steps for row in self.scorer.score_rows(frags)]
+        if self.emit_pages:
+            return rows_to_table(pages, with_logprobs=self.scorer.with_logprobs)
+        return join_pages(pages)
+
+    def _fold(self, steps) -> list[dict]:
+        """The maintain_format fold over every step's fragments."""
+        rows: list[dict] = []
+        url, tail, broken = None, "", False
+        for frags in steps:
+            for u, pid, idx, kind, frag in zip(
+                *(frags[c].to_pylist() for c in FRAGMENT_SCHEMA.names)
+            ):
+                if u != url:
+                    url, tail, broken = u, "", False
+                elif broken:
+                    continue  # error breaks the chain (index.ts:361-364)
+                comp = self.scorer.complete(
+                    u, kind, frag, maintain_format=True, prior_tail=tail
                 )
-            rows.append(completion_to_row(url, pid, page_index, comp))
-            if comp.error is not None:
-                broken = True
-            else:
-                prior_tail = comp.tail
-    return pd.DataFrame(
-        rows,
-        columns=[
-            "url",
-            "pid",
-            "page_index",
-            "content",
-            "content_length",
-            "status",
-            "error",
-            "input_tokens",
-            "output_tokens",
-        ],
-    )
+                rows.append(completion_to_row(u, pid, idx, comp))
+                tail, broken = comp.tail, comp.error is not None
+        return rows

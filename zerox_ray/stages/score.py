@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pyarrow as pa
 
 from zerox_ray.models.base import Completion, create_model
+from zerox_ray.stages.split import FRAGMENT_SCHEMA
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -141,25 +142,27 @@ class Scorer:
         self.with_logprobs = bool((model_kwargs or {}).get("logprobs"))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = zip(
-            batch["url"].to_pylist(),
-            batch["pid"].to_pylist(),
-            batch["page_index"].to_pylist(),
-            batch["kind"].to_pylist(),
-            batch["fragment"].to_pylist(),
-        )
-        out = map_rows(self._score_row, list(rows), self.model.inflight)
-        return rows_to_table(out, with_logprobs=self.with_logprobs)
+        return rows_to_table(self.score_rows(batch), with_logprobs=self.with_logprobs)
 
-    def _score_row(self, row: tuple) -> dict:
-        url, pid, idx, kind, frag = row
+    def score_rows(self, frags: pa.Table) -> list[dict]:
+        """Fragment rows → extracted page row dicts, in input order, with
+        up to ``model.inflight`` requests open across all of them."""
+        rows = zip(*(frags[c].to_pylist() for c in FRAGMENT_SCHEMA.names))
+        return map_rows(self._score_row, list(rows), self.model.inflight)
+
+    def complete(self, url: str, kind: str, frag: bytes, **kwargs) -> Completion:
+        """One fragment's Completion: a splitter error row becomes an
+        error Completion (raised under THROW), any other fragment goes
+        through ``complete_with_retries`` with ``kwargs``."""
         if kind == "error":
             err = frag.decode("utf-8", errors="replace") or "corrupt payload"
             if self.error_mode == "THROW":
                 raise ValueError(f"{url}: {err}")
-            comp = Completion("", 0, 0, error=err)
-        else:
-            comp = complete_with_retries(
-                self.model, frag, kind, self.max_retries, self.error_mode
-            )
-        return completion_to_row(url, pid, idx, comp)
+            return Completion("", 0, 0, error=err)
+        return complete_with_retries(
+            self.model, frag, kind, self.max_retries, self.error_mode, **kwargs
+        )
+
+    def _score_row(self, row: tuple) -> dict:
+        url, pid, idx, kind, frag = row
+        return completion_to_row(url, pid, idx, self.complete(url, kind, frag))

@@ -25,12 +25,13 @@ import pyarrow as pa
 
 from zerox_ray.functions import htmlx, pdfx, sheetx
 
-#: docs with more estimated pages than this are pre-chunked (ZeroxConfig
-#: default; None disables). 64 bounds a pathological PDF's per-row cost
-#: at ~25× the web-corpus average while never triggering on typical
-#: documents — a threshold near the corpus MEAN makes chunk_giant_docs
-#: copy nearly every batch for no balance gain (measured ~10% of chain
-#: remote wall at threshold 8 on the 2.5-page-mean bench corpus).
+#: docs with more estimated pages than this are walked in page ranges of
+#: this many pages (ZeroxConfig default; None disables). It bounds the
+#: fragments alive per split/score step at ~25× the web-corpus average
+#: while never triggering on typical documents — a threshold near the
+#: corpus MEAN makes chunk_giant_docs copy nearly every batch for no
+#: gain (measured ~10% of chain remote wall at threshold 8 on the
+#: 2.5-page-mean bench corpus).
 GIANT_PAGE_THRESHOLD = 64
 
 
@@ -57,20 +58,22 @@ def heic_to_jpeg(payload: bytes) -> bytes:
 
 
 def chunk_giant_docs(batch: pa.Table, chunk_pages: int) -> pa.Table:
-    """page_count-aware skew repartition (the M8 consumer; the north rule
+    """page_count-aware page ranges (the M8 consumer; the north rule
     names it explicitly): a doc whose estimated ``page_count`` exceeds
     ``chunk_pages`` is replicated into ⌈page_count/chunk_pages⌉ work-item
     rows, each carrying a [first_page, last_page] range the splitter
     honors. Per-ROW split/score cost is then bounded by ~chunk_pages
-    regardless of document size, so a 24-page doc spreads across batches
-    and tasks instead of skewing one — robust to any block/batch layout.
+    regardless of document size. The ranges do not leave their doc's
+    task: ``DocumentOCR`` walks a batch's ranges a bounded number per
+    step, so the threshold bounds the fragments alive per step, not how
+    a doc spreads over tasks.
 
     last_page = -1 marks the final chunk open-ended: page_count is an
     ESTIMATE (cheap payload markers, classify.py); pages beyond it must
     not be dropped. Payload bytes are duplicated per extra chunk —
     bounded by the giant-doc fraction, the standard trade for skew-free
     fan-out. Chunk rows stay ADJACENT per url (np.repeat), preserving
-    the url-contiguity invariant the reassembly combiners rely on."""
+    the url-contiguity invariant the kernel's page join relies on."""
     counts = np.maximum(batch["page_count"].to_numpy(), 1)
     n_chunks = np.maximum(1, -(-counts // chunk_pages))
     if not (n_chunks > 1).any():

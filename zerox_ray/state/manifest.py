@@ -160,7 +160,6 @@ class CheckpointedOcrRunner:
 
     def _run_shard(self, shard_id: int, files: list[str]) -> ShardResult:
         from zerox_ray.pipelines.ocr import run_ocr
-        from zerox_ray.sources.pages import read_pages
 
         t0 = time.perf_counter()
         final = os.path.join(self.out_dir, f"shard={shard_id:05d}")
@@ -173,7 +172,9 @@ class CheckpointedOcrRunner:
 
             pages = read_warc_pages(files).select_columns(["url", "html"])
         else:
-            pages = read_pages(files)
+            # a path input: run_ocr's url check then reads the shard's
+            # url column in one task, with no second Ray Data execution
+            pages = files
         docs = run_ocr(pages, self.cfg)
         docs.write_parquet(tmp)
         os.rename(tmp, final)  # atomic publish of the shard output
