@@ -3993,7 +3993,7 @@ GROUP BY 1, 2
         # G5 merge mirror (reference index.ts:435-443, 539-552): per-page
         # first_token entries in page order + full-doc n_tokens over the
         # "\n<hr><hr>\n"-joined content, exactly the key-sorted compact
-        # JSON that extraction.py::_merge_bucket emits.
+        # JSON that extraction.py::DocumentExtractor emits.
         "extract_documents": _PAGES_CTE
         + r"""
 , ok AS (SELECT * FROM pages WHERE NOT is_err),

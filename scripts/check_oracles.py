@@ -42,11 +42,29 @@ import pandas as pd
 
 
 def _to_pandas(result) -> pd.DataFrame:
+    """A query's result as one frame. A Dataset's blocks are pulled in its
+    one execution and concatenated as ``Dataset.to_pandas`` does, except
+    that a rowless result keeps the columns of its first typed block:
+    ``to_pandas`` skips rowless blocks and so returns no columns."""
     import pyarrow as pa
+    import ray
     import ray.data
+    from ray.data._internal.pandas_block import PandasBlockBuilder
+    from ray.data.block import BlockAccessor
 
     if isinstance(result, ray.data.Dataset):
-        return result.to_pandas()
+        frames = [
+            BlockAccessor.for_block(ray.get(ref)).to_pandas()
+            for bundle in result.iter_internal_ref_bundles()
+            for ref in bundle.block_refs
+        ]
+        if not any(len(f) for f in frames):
+            return next((f for f in frames if len(f.columns)), pd.DataFrame())
+        builder = PandasBlockBuilder()
+        for f in frames:
+            if len(f):
+                builder.add_block(f)
+        return BlockAccessor.for_block(builder.build()).to_pandas()
     if isinstance(result, pa.Table):
         return result.to_pandas()
     return result

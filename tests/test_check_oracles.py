@@ -1,8 +1,9 @@
 """``scripts/check_oracles.py`` and ``scripts/bench_pairs.py`` refuse to
 start beside a live Ray session: two local sessions crash each other;
 ``bench_pairs`` applies the gain rule to the pairs it ran;
-``check_oracles --json`` records each query's schema probes; and
-``check_oracles --against`` names each query that rises above a record."""
+``check_oracles --json`` records each query's schema probes;
+``check_oracles --against`` names each query that rises above a record;
+and a rowless result reaches ``compare`` with its columns."""
 
 import os
 import sys
@@ -149,3 +150,40 @@ def test_json_records_probes_per_query(monkeypatch, tmp_path):
     runs = json.loads(out.read_text())["queries"]
     assert (runs["probing"]["probes"], runs["probing"]["executions"]) == (1, 2)
     assert (runs["clean"]["probes"], runs["clean"]["executions"]) == (0, 3)
+
+
+def test_rowless_result_keeps_its_columns():
+    """A pyarrow UDF that emits a typed empty table gives a rowless
+    Dataset whose columns ``Dataset.to_pandas`` drops; the sweep pulls
+    the blocks instead, in the result's one execution, so ``compare``
+    sees the columns of an empty answer."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    src = pa.table({"url": ["a", "b"], "n": [1, 2]})
+
+    def none_kept(t: pa.Table) -> pa.Table:
+        return src.schema.empty_table()
+
+    empty = ray.data.from_arrow([src, src]).map_batches(
+        none_kept, batch_format="pyarrow"
+    )
+    unhooked = StreamingExecutor.execute
+    try:
+        calls = check_oracles._count_executions()
+        got = check_oracles._to_pandas(empty)
+    finally:
+        StreamingExecutor.execute = unhooked
+    assert calls == [1, 0, 0]
+    assert list(got.columns) == ["url", "n"] and len(got) == 0
+    want = pd.DataFrame(
+        {"url": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")}
+    )
+    assert check_oracles.compare("none_kept", got, want) == []
+    # rows keep the frame Dataset.to_pandas makes
+    full = ray.data.from_arrow([src, src]).map_batches(
+        lambda t: t, batch_format="pyarrow"
+    )
+    pd.testing.assert_frame_equal(check_oracles._to_pandas(full), full.to_pandas())

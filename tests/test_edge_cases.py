@@ -7,7 +7,6 @@ import pytest
 from zerox_ray.functions.schema import validate_llm_params
 from zerox_ray.models.mock import DeterministicExtractorModel
 from zerox_ray.pipelines.dataops import _quality_batch
-from zerox_ray.pipelines.extraction import _cached_model
 from zerox_ray.pipelines.relational import _asof_bucket
 
 
@@ -22,12 +21,6 @@ def test_asof_bucket_purchases_without_views():
     )
     out = _asof_bucket(g)
     assert list(out.view_ts_us) == [-1, -1]
-
-
-def test_cached_model_accepts_unhashable_kwargs():
-    m1 = _cached_model("deterministic", {"prior_tail_chars": 8})
-    m2 = _cached_model("deterministic", {"prior_tail_chars": 8})
-    assert m1 is m2  # cache hit with a plain dict key
 
 
 def test_hyperplane_bander_n_bits_variants():

@@ -14,7 +14,6 @@ import ray
 import ray.data
 
 from zerox_ray.pipelines import agg, relational, similarity
-from zerox_ray.pipelines.extraction import _cached_model
 
 
 def _ids(col, n):
@@ -103,9 +102,6 @@ def test_per_batch_state_goes_through_the_bounded_cache(monkeypatch):
     top = similarity._topk_partial_batch(emb, queries, 1)
     assert top["neighbor_id"].tolist() == [2]
     assert ("bf", queries.hex(), 1) in agg._WORKER_CACHE
-
-    model = _cached_model("deterministic", {"prior_tail_chars": 8})
-    assert model in agg._WORKER_CACHE.values()
     assert len(agg._WORKER_CACHE) <= agg.WORKER_CACHE_MAX
 
 

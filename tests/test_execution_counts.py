@@ -13,9 +13,11 @@ means the loop fell back to its per-round barriers,
 ``random_walks``, whose per-step states are materialized so the final
 union runs no step's join again (its all-to-alls are counted too), and
 ``hits``, ``local_clustering`` and ``crawl_depth``, whose keyed lookups
-go through ``relational.lookup_join``, and the flagship OCR queries
-``ocr_documents`` and ``ocr_maintain_format``, whose plan is one map
-operator after the scan (the url check before it is a plain Ray task).
+go through ``relational.lookup_join``, and the OCR queries
+``ocr_documents``, ``ocr_maintain_format``, ``ocr_pages``,
+``extract_structured``, ``extract_documents`` and ``extract_direct``,
+whose plans run every url through one ``DocumentOCR`` map call (the
+url check before the documents plans is a plain Ray task).
 
 Every query here also runs with no schema probe: no ``limit(1)`` copy
 of a lazy plan run to answer ``Dataset.schema()`` (``hash_join`` asks
@@ -60,6 +62,10 @@ QUERIES = [
     "crawl_depth",
     "ocr_documents",
     "ocr_maintain_format",
+    "ocr_pages",
+    "extract_structured",
+    "extract_documents",
+    "extract_direct",
 ]
 
 
@@ -115,10 +121,13 @@ def test_random_walks_runs_no_step_twice(sf_dir, executions):
     assert executions[1] - before[1] <= 4
 
 
-@pytest.mark.parametrize("name", ["ocr_documents", "ocr_maintain_format"])
+@pytest.mark.parametrize(
+    "name", ["ocr_documents", "ocr_maintain_format", "extract_documents"]
+)
 def test_ocr_runs_no_all_to_all(name, sf_dir, executions):
-    """Each url is split, scored and joined inside one map call, in both
-    modes: the OCR plan has no exchange and its url check no execution."""
+    """Each url is split, scored and joined (or extracted) inside one map
+    call, in both modes: the plan has no exchange and its url check no
+    execution."""
     import __ray_entry__ as e
 
     before = list(executions)

@@ -73,11 +73,18 @@ class TestGoldenConformance:
         pd.testing.assert_frame_equal(a, b)
 
     def test_partitioning_invariance(self, pages_dir):
-        """Byte-identity must not depend on the shuffle width (north rule:
-        identical output at different cluster/parallelism shapes)."""
-        a = _sorted(run_ocr(pages_dir, num_partitions=4).to_pandas()[DOC_COLS], "url")
-        b = _sorted(run_ocr(pages_dir, num_partitions=64).to_pandas()[DOC_COLS], "url")
-        pd.testing.assert_frame_equal(a, b)
+        """Byte-identity must not depend on how the kernel cuts its work
+        (north rule: identical output at different parallelism shapes):
+        one doc row per step or 64, every doc walked in one-page ranges
+        or whole."""
+        runs = [
+            _sorted(run_ocr(pages_dir, cfg).to_pandas()[DOC_COLS], "url")
+            for cfg in (
+                ZeroxConfig(split_batch_size=1, giant_page_threshold=1),
+                ZeroxConfig(split_batch_size=64, giant_page_threshold=None),
+            )
+        ]
+        pd.testing.assert_frame_equal(*runs)
 
 
 class TestErrorSemantics:
@@ -320,30 +327,47 @@ class TestSnapshotUniqueness:
 
     @pytest.mark.parametrize(
         "entry, mf",
-        [(run_ocr, False), (run_ocr, True), (extracted_pages, True)],
+        [
+            (run_ocr, False),
+            (run_ocr, True),
+            (extracted_pages, True),
+            (extract_documents, False),
+        ],
     )
     def test_duplicate_urls_in_different_blocks_raise(self, entry, mf):
         """One row per block and one doc row per kernel call: no block
         or call ever holds both rows of u1, yet the url check names it
-        (the maintain_format page table runs the same check)."""
+        (the maintain_format page table and the document extraction run
+        the same check)."""
         blocks = self._one_row_blocks(self._dup_table().select(["url", "html"]))
         ds = ray.data.from_arrow(blocks)
         assert ds.num_blocks() == 3
-        cfg = ZeroxConfig(maintain_format=mf, split_batch_size=1)
+        cfg = ZeroxConfig(
+            maintain_format=mf, split_batch_size=1, schema=TestExtraction.SCHEMA
+        )
         with pytest.raises(ValueError, match="'u1'.*one-row-per-url"):
             entry(ds, cfg)
 
-    @pytest.mark.parametrize("mf", [False, True])
-    def test_duplicate_urls_in_different_files_raise(self, mf, tmp_path):
+    @pytest.mark.parametrize(
+        "entry, mf",
+        [
+            pytest.param(run_ocr, False, id="False"),
+            pytest.param(run_ocr, True, id="True"),
+            pytest.param(extract_documents, False, id="extract_documents-False"),
+        ],
+    )
+    def test_duplicate_urls_in_different_files_raise(self, entry, mf, tmp_path):
         """Path input: one file per row; one Ray task reads the url
         column and names the duplicate."""
         import pyarrow.parquet as pq
 
         for i, block in enumerate(self._one_row_blocks(self._dup_table())):
             pq.write_table(block, str(tmp_path / f"pages-{i}.parquet"))
-        cfg = ZeroxConfig(maintain_format=mf, split_batch_size=1)
+        cfg = ZeroxConfig(
+            maintain_format=mf, split_batch_size=1, schema=TestExtraction.SCHEMA
+        )
         with pytest.raises(ValueError, match="'u1'.*one-row-per-url"):
-            run_ocr(str(tmp_path), cfg)
+            entry(str(tmp_path), cfg)
 
     def test_url_check_above_the_gate_counts_by_exchange(self, tmp_path, monkeypatch):
         """Above agg.GATHER_MAX_BYTES the check is a bucketed count: it
@@ -402,7 +426,7 @@ class TestGiantDocChunking:
 
     def test_end_to_end_equal_with_and_without_chunking(self, pages_dir):
         """Chunked execution must be byte-identical to unchunked, on both
-        reassembly paths (free-order and maintain_format) — the skew fix
+        kernel paths (free-order and maintain_format) — the skew fix
         changes scheduling, never results. The corpus includes 24-page
         giant docs (doc_id % 50 == 0) and corrupt docs."""
         for mf in (False, True):

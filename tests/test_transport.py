@@ -55,19 +55,27 @@ GOOGLE_OK = {
 class _StubHandler(BaseHTTPRequestHandler):
     """Records every POST (path, headers, parsed JSON body) on the server
     and replies from the server's scripted (status, payload) queue —
-    last entry repeats, so one-entry scripts serve any request count."""
+    last entry repeats, so one-entry scripts serve any request count.
+    Each reply is held ``srv.hold_s``; ``srv.peak`` is the most POSTs
+    handled at once."""
 
     def do_POST(self):  # noqa: N802 (http.server API)
         srv = self.server
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        srv.seen.append(
-            {
-                "path": self.path,
-                "headers": {k.lower(): v for k, v in self.headers.items()},
-                "body": json.loads(body) if body else None,
-            }
-        )
-        status, payload = srv.script[min(len(srv.seen) - 1, len(srv.script) - 1)]
+        with srv.lock:
+            srv.seen.append(
+                {
+                    "path": self.path,
+                    "headers": {k.lower(): v for k, v in self.headers.items()},
+                    "body": json.loads(body) if body else None,
+                }
+            )
+            status, payload = srv.script[min(len(srv.seen) - 1, len(srv.script) - 1)]
+            srv.active += 1
+            srv.peak = max(srv.peak, srv.active)
+        time.sleep(srv.hold_s)
+        with srv.lock:
+            srv.active -= 1
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -79,10 +87,19 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _Stub(ThreadingHTTPServer):
+    # room for every connection the pipeline tasks open at once
+    request_queue_size = 64
+    daemon_threads = True
+
+
 def _start_stub(script):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _Stub(("127.0.0.1", 0), _StubHandler)
+    server.lock = threading.Lock()
     server.seen = []
     server.script = script
+    server.hold_s = 0.0
+    server.active = server.peak = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     server.base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -287,11 +304,13 @@ _DOC_PAGES = (1, 2, 3)
 
 
 def check_openai_pipeline(stub, pages_dir: str) -> None:
-    """run_ocr, extracted_pages and extract_only extract_pages through the
-    openai provider against ``stub``, reading a pages table written to
-    ``pages_dir`` (one parquet file per doc, so the scan is several read
-    tasks): every page succeeds with the stub's content, and each
-    pipeline POSTs exactly once per page."""
+    """run_ocr, extracted_pages, and extract_only extract_pages and
+    extract_documents through the openai provider against ``stub``,
+    reading a pages table written to ``pages_dir`` (one parquet file per
+    doc, so the scan is several read tasks): every page succeeds with the
+    stub's content, each page pipeline POSTs exactly once per page, and
+    the document extraction once more per url, with its requests
+    overlapped."""
     import dataclasses
     import os
 
@@ -299,7 +318,8 @@ def check_openai_pipeline(stub, pages_dir: str) -> None:
     import pyarrow.parquet as pq
 
     from zerox_ray import ZeroxConfig, extracted_pages, run_ocr
-    from zerox_ray.pipelines.extraction import extract_pages
+    from zerox_ray.models.providers import OpenAIModel
+    from zerox_ray.pipelines.extraction import extract_documents, extract_pages
     from zerox_ray.stages.reassemble import PAGE_JOIN
     from zerox_ray.testgen import build_html
 
@@ -355,6 +375,27 @@ def check_openai_pipeline(stub, pages_dir: str) -> None:
     ex = extract_pages(pages, cfg).to_pandas()
     assert len(ex) == n_pages and set(ex["title"]) == {"Doc"}
     one_post_per_page()
+
+    # one per-page key and one full-doc key: each page's extraction and
+    # each url's full-doc extraction, held so that overlap shows
+    schema = {
+        "type": "object",
+        "properties": {"title": {"type": "string"}, "summary": {"type": "string"}},
+    }
+    cfg = dataclasses.replace(cfg, schema=schema, extract_per_page=["title"])
+    stub.hold_s, stub.peak = 0.05, 0
+    docs = extract_documents(pages, cfg).to_pandas().sort_values("url")
+    assert docs["url"].tolist() == urls
+    # the full-doc reply carries "title" too, and shallow-merges on top
+    assert set(docs["extracted"]) == {'{"title":"Doc"}'}
+    asked = [
+        set(s["body"]["response_format"]["json_schema"]["schema"]["properties"])
+        for s in stub.seen
+    ]
+    assert asked.count({"title"}) == n_pages
+    assert asked.count({"summary"}) == len(urls)
+    assert len(stub.seen) == n_pages + len(urls)
+    assert 1 < stub.peak <= OpenAIModel.inflight
 
 
 class TestOpenAIPipeline:

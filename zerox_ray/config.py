@@ -43,8 +43,8 @@ class ZeroxConfig:
     # splits at most this many page ranges per step): payload-heavy
     # rows → small batches
     split_batch_size: int = 64
-    # fragment rows per score / extract call on the free-order page
-    # table and the extraction stages
+    # page rows per extract call of extract_pages' PageExtractor (the
+    # kernel scores each batch of docs' pages in its own call)
     score_batch_size: int = 256
     # page_count-aware page ranges: docs estimated above this many
     # pages are walked in page ranges of this size, so the fragments

@@ -8,9 +8,8 @@ the deterministic extractor (mock vision model) so the pipeline is
 reproducible and offline-testable.
 
 A model instance is constructed ONCE per stage on the driver (the Scorer /
-PageExtractor ctor) and shipped to the tasks — the grouped stages build
-one per worker through ``agg.worker_cached`` instead — matching the
-reference's one-model-per-run lifecycle (index.ts:248-253).
+PageExtractor / DocumentExtractor ctor) and shipped to the tasks,
+matching the reference's one-model-per-run lifecycle (index.ts:248-253).
 """
 
 from __future__ import annotations

@@ -1,18 +1,23 @@
 """Schema-driven structured extraction (the reference's extraction mode).
 
+Both pipelines run the OCR plan (pipelines/ocr.py): every url is split
+and scored inside ``stages.reassemble.DocumentOCR``, with no exchange.
+
 Parity map:
 - splitSchema plan step (node-zerox/src/utils/common.ts:85-121) decides the
   per-page vs full-doc stages at pipeline-BUILD time (driver-side).
-- per-page extraction (index.ts:381-479): here a task map_batches
-  over the scored page rows — input is the page's extracted markdown (the
-  directImageExtraction variant would feed the fragment bytes instead;
-  same stage, different input column).
-- full-doc extraction (index.ts:482-537): pages joined with
-  "\\n<hr><hr>\\n" (G2) inside the pid-bucket group (``_merge_bucket``, a
-  pid exchange of its own), then one model call.
+- per-page extraction (index.ts:381-479): ``extract_pages`` runs a task
+  map_batches over the kernel's page rows; ``extract_documents`` makes
+  the per-page calls in the kernel's finish step (``DocumentExtractor``).
+  Input is the page's extracted markdown, or under extract_only
+  (directImageExtraction, index.ts:125, 457-459) the raw fragment,
+  which ``DirectContent`` hands the kernel in place of the OCR model.
+- full-doc extraction (index.ts:482-537): a url's SUCCESS pages joined
+  with "\\n<hr><hr>\\n" (G2), then one model call, in the same finish
+  step, whose requests all overlap through ``score.map_rows``.
 - merge (index.ts:435-443, 539-552): per-page results become
-  {key: [{page, value}, ...]}, full-doc results shallow-merge on top —
-  an order-sensitive grouped reduce (sorted by page_index).
+  {key: [{page, value}, ...]} in page order, full-doc results
+  shallow-merge on top.
 
 Output of ``extract_documents``: (url, extracted) where ``extracted`` is a
 canonical JSON string (sorted keys) — deterministic for value-hash checks.
@@ -22,17 +27,30 @@ canonical JSON string (sorted keys) — deterministic for value-hash checks.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from zerox_ray.config import ZeroxConfig
 from zerox_ray.functions.schema import split_schema
-from zerox_ray.models.base import create_model
-from zerox_ray.pipelines.ocr import extracted_pages
+from zerox_ray.models.base import Completion, create_model
+from zerox_ray.pipelines.ocr import (
+    _documents,
+    _fold_kwargs,
+    _page_table,
+    _stage_kwargs,
+)
+from zerox_ray.sources.pages import require_unique_urls
 from zerox_ray.stages.reassemble import DOC_JOIN
-from zerox_ray.stages.score import STATUS_ERROR, STATUS_SUCCESS, map_rows
+from zerox_ray.stages.score import (
+    STATUS_SUCCESS,
+    Scorer,
+    completion_to_row,
+    map_rows,
+)
+from zerox_ray.stages.split import FRAGMENT_SCHEMA
 
 _ARROW_TYPES = {
     "string": pa.string(),
@@ -84,41 +102,35 @@ class PageExtractor:
         return pa.table(cols)
 
 
-def _direct_rows(batch: pa.Table) -> pa.Table:
-    """Fragment rows → extractor-input rows with the RAW page payload as
-    ``content`` (directImageExtraction/extractOnly parity, reference
-    index.ts:125, 457-459: extraction consumes the page directly; the OCR
-    model never runs). Error fragments become status=ERROR rows."""
-    content = [
-        f.decode("utf-8", errors="replace") for f in batch["fragment"].to_pylist()
-    ]
-    status = [
-        STATUS_ERROR if k == "error" else STATUS_SUCCESS
-        for k in batch["kind"].to_pylist()
-    ]
-    return pa.table(
-        {
-            "url": batch["url"],
-            "pid": batch["pid"],
-            "page_index": batch["page_index"],
-            "content": pa.array(content, pa.large_string()),
-            "status": pa.array(status, pa.string()),
-        }
-    )
+class DirectContent:
+    """Model-free stand-in for ``DocumentOCR``'s scorer under
+    ``cfg.extract_only`` (directImageExtraction/extractOnly parity,
+    reference index.ts:125, 457-459: extraction consumes the page
+    directly; the OCR model never runs): a fragment's raw bytes, decoded,
+    are its page's content, and a splitter error fragment becomes an
+    ERROR page row."""
+
+    with_logprobs = False
+
+    def complete(self, url: str, kind: str, frag: bytes, **kwargs) -> Completion:
+        text = frag.decode("utf-8", errors="replace")
+        if kind == "error":
+            return Completion("", 0, 0, error=text or "corrupt payload")
+        return Completion(text, 0, 0)
+
+    def score_rows(self, frags: pa.Table) -> list[dict]:
+        return [
+            completion_to_row(url, pid, idx, self.complete(url, kind, frag))
+            for url, pid, idx, kind, frag in zip(
+                *(frags[c].to_pylist() for c in FRAGMENT_SCHEMA.names)
+            )
+        ]
 
 
-def _content_rows(pages, cfg: ZeroxConfig, num_partitions: int | None):
-    """The extractor's input rows: OCR'd page markdown normally, raw
-    fragment text when ``cfg.extract_only`` — same columns either way, so
-    both extraction pipelines are mode-agnostic downstream."""
-    if not cfg.extract_only:
-        return extracted_pages(pages, cfg, num_partitions)
-    from zerox_ray.pipelines.ocr import _fragments
-
-    frags = _fragments(pages, cfg, num_partitions)
-    return frags.map_batches(
-        _direct_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+def _scorer(cfg: ZeroxConfig):
+    """The kernel's scorer: the OCR model, or the raw fragments under
+    ``cfg.extract_only``."""
+    return DirectContent() if cfg.extract_only else Scorer(**_fold_kwargs(cfg))
 
 
 def extract_pages(
@@ -133,11 +145,9 @@ def extract_pages(
         raise ValueError("extraction requires cfg.schema (index.ts:118-123)")
     _, per_page = split_schema(cfg.schema, cfg.extract_per_page)
     schema = per_page if per_page is not None else cfg.schema
-    from zerox_ray.pipelines.ocr import _stage_kwargs
-
     for prop in schema.get("properties", {}).values():
         _prop_type(prop)  # build-time validation (clear driver error)
-    rows = _content_rows(pages, cfg, num_partitions)
+    rows = _page_table(pages, cfg, num_partitions, _scorer(cfg))
     extractor = PageExtractor(
         schema=schema,
         model_provider=cfg.model_provider,
@@ -146,88 +156,79 @@ def extract_pages(
     return rows.map_batches(extractor, **_stage_kwargs(cfg, cfg.score_batch_size))
 
 
-def _cached_model(provider: str, kwargs: dict | None):
-    """One model per (worker process, config): ``_merge_bucket`` runs in
-    the exchange's reduce tasks, so the model is built once per worker
-    through the per-worker cache. Key is repr-based: model_kwargs
-    legitimately contain unhashable values (e.g. a credentials dict for
-    networked providers)."""
-    from zerox_ray.pipelines.agg import worker_cached
+class DocumentExtractor:
+    """``DocumentOCR``'s finish step for ``extract_documents``: page rows,
+    each url's contiguous and in page order → one (url, extracted-JSON)
+    row per url (the G5 merge, index.ts:435-443, 539-552).
 
-    key = ("model", provider, repr(sorted((kwargs or {}).items())))
-    return worker_cached(key, lambda: create_model(provider, **(kwargs or {})))
+    A url's SUCCESS pages give its per-page values, appended in page
+    order as {key: [{page, value}, ...]}, and one full-doc extraction of
+    their content joined with ``DOC_JOIN`` (G2), shallow-merged on top.
+    Every request of the call goes through one ``map_rows``, so up to
+    ``model.inflight`` are open at once. A url with no SUCCESS page gets
+    "{}", as ``run_ocr`` keeps its documents row with empty markdown. The
+    model is built once, on the driver."""
 
+    def __init__(
+        self,
+        full_doc_schema: dict | None,
+        per_page_schema: dict | None,
+        model_provider: str = "deterministic",
+        model_kwargs: dict | None = None,
+    ):
+        self.full_doc = full_doc_schema
+        self.per_page = per_page_schema
+        self.model = create_model(model_provider, **(model_kwargs or {}))
 
-def _merge_bucket(
-    df: pd.DataFrame,
-    full_doc_schema: dict | None,
-    per_page_schema: dict | None,
-    model_provider: str,
-    model_kwargs: dict | None,
-) -> pd.DataFrame:
-    """One pid bucket of scored page rows → (url, extracted-JSON) rows.
-
-    The G5 grouped reduce: per-page values appended in page order as
-    {key: [{page, value}...]}, full-doc values shallow-merged on top
-    (index.ts:435-443, 539-552)."""
-    model = _cached_model(model_provider, model_kwargs)
-    all_urls = set(df["url"])
-    df = df[df["status"] == STATUS_SUCCESS].sort_values(
-        ["url", "page_index"], kind="mergesort"
-    )
-    out_urls: list = []
-    out_json: list = []
-    # urls whose pages ALL failed still get a row with an empty
-    # extraction object — mirroring run_ocr, which keeps one documents
-    # row per url (empty markdown) rather than dropping the url
-    for url in sorted(all_urls - set(df["url"])):
-        out_urls.append(url)
-        out_json.append("{}")
-    for url, g in df.groupby("url", sort=True):
-        merged: dict = {}
-        if per_page_schema is not None:
-            # column zip, not iterrows — measured ~10× faster in the
-            # maintain_format fold loop
-            for pi, content in zip(
-                g["page_index"].to_numpy(), g["content"].tolist()
-            ):
-                ex = model.extract(content, per_page_schema)
-                for k, v in ex.extracted.items():
-                    merged.setdefault(k, []).append({"page": int(pi), "value": v})
-        if full_doc_schema is not None:
-            doc_content = DOC_JOIN.join(g["content"])  # G2 separator
-            ex = model.extract(doc_content, full_doc_schema)
-            merged.update(ex.extracted)  # shallow merge (index.ts:548-552)
-        out_urls.append(url)
-        out_json.append(json.dumps(merged, sort_keys=True, separators=(",", ":")))
-    # typed columns: an empty group block must carry (string, string),
-    # not the float64 default, for schema-stable exchange output
-    return pd.DataFrame(
-        {
-            "url": pd.Series(out_urls, dtype="string"),
-            "extracted": pd.Series(out_json, dtype="string"),
-        }
-    )
+    def __call__(self, pages: list[dict]) -> pa.Table:
+        docs = [
+            (url, [r for r in rows if r["status"] == STATUS_SUCCESS])
+            for url, rows in groupby(pages, key=itemgetter("url"))
+        ]
+        asks = []
+        for _, ok in docs:
+            if self.per_page is not None:
+                asks += [(r["content"], self.per_page) for r in ok]
+            if self.full_doc is not None and ok:
+                asks.append((DOC_JOIN.join(r["content"] for r in ok), self.full_doc))
+        found = iter(
+            map_rows(
+                lambda ask: self.model.extract(*ask).extracted,
+                asks,
+                self.model.inflight,
+            )
+        )
+        out = []
+        for _, ok in docs:
+            merged: dict = {}
+            if self.per_page is not None:
+                for r in ok:
+                    for k, v in next(found).items():
+                        value = {"page": r["page_index"], "value": v}
+                        merged.setdefault(k, []).append(value)
+            if self.full_doc is not None and ok:
+                merged.update(next(found))  # shallow merge (index.ts:548-552)
+            out.append(json.dumps(merged, sort_keys=True, separators=(",", ":")))
+        return pa.table(
+            {
+                "url": pa.array([url for url, _ in docs], pa.string()),
+                "extracted": pa.array(out, pa.string()),
+            }
+        )
 
 
-def extract_documents(
-    pages,
-    cfg: ZeroxConfig,
-    num_partitions: int | None = None,
-):
+def extract_documents(pages, cfg: ZeroxConfig):
     """Document-level extraction: (url, extracted) with the per-page /
-    full-doc split driven by cfg.extract_per_page (splitSchema)."""
+    full-doc split driven by cfg.extract_per_page (splitSchema). Every
+    url is scored and extracted inside ``DocumentOCR``, with no exchange.
+    A url that appears in more than one input row raises ``ValueError``
+    naming it, before the plan runs."""
     if cfg.schema is None:
         raise ValueError("extraction requires cfg.schema")
     full_doc, per_page = split_schema(cfg.schema, cfg.extract_per_page)
-    rows = _content_rows(pages, cfg, num_partitions)
-    return rows.groupby("pid").map_groups(
-        _merge_bucket,
-        batch_format="pandas",
-        fn_kwargs={
-            "full_doc_schema": full_doc,
-            "per_page_schema": per_page,
-            "model_provider": cfg.model_provider,
-            "model_kwargs": cfg.resolved_model_kwargs(),
-        },
+    extractor = DocumentExtractor(
+        full_doc, per_page, cfg.model_provider, cfg.resolved_model_kwargs()
     )
+    docs = _documents(pages, cfg, extractor, scorer=_scorer(cfg))
+    require_unique_urls(pages)
+    return docs

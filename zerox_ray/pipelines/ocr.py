@@ -5,7 +5,7 @@ Dataflow (SURVEY §3.4), all lazy/streaming until a sink consumes it:
     read_parquet(pages, columns=[url, html])      # pruned scan
       → map_batches(ClassifyPayload)              # vectorized sniff + pid
       → map_batches(DocumentOCR)                  # per doc: split → score
-                                                  # → join, in one call
+                                                  # → finish, in one call
 
 No all-to-all: zerox keeps no state across documents (SURVEY §1.1), and
 ``stages.reassemble.DocumentOCR`` finishes every url inside the map call
@@ -15,11 +15,17 @@ url's pages in order (§2.11). The url-uniqueness precondition the
 kernel relies on is checked before the plan runs, on keys only
 (``sources.pages.require_unique_urls``).
 
+Every OCR entry point runs this plan and differs only in the kernel's
+finish step: ``run_ocr`` joins each url's pages, ``extracted_pages``
+emits them, and pipelines/extraction.py extracts from them (under
+extract_only from the raw fragments, with no OCR model).
+
 Scale notes (100 TB design):
 - ``pid`` (crc32(url) % P, P derived from cluster CPUs at build time)
-  still tags the page rows: the extraction merge exchanges on it
-  (pipelines/extraction.py); the OCR plan does not. Resume granularity
-  is the input-file shard (state/manifest.py);
+  still tags the page table's rows; no pipeline exchanges on it. It
+  stays for that column and for the benchmark's single-process replay
+  (perfbench/layers.py). Resume granularity is the input-file shard
+  (state/manifest.py);
 - every stage is a stateless task UDF (an instance built once on the
   driver, or a function), so Ray fuses classify and the kernel into one
   map operator; the kernel takes ``split_batch_size`` doc rows per call
@@ -31,21 +37,23 @@ Scale notes (100 TB design):
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 import pyarrow as pa
 import ray
 import ray.data
 
 from zerox_ray.config import ZeroxConfig
-from zerox_ray.models.base import create_model
 from zerox_ray.sources.pages import read_pages, require_unique_urls
 from zerox_ray.stages.classify import (
     DEFAULT_NUM_PARTITIONS,  # noqa: F401 — re-exported for callers/tests
     ClassifyPayload,
     default_num_partitions,
 )
-from zerox_ray.stages.reassemble import DocumentOCR
-from zerox_ray.stages.score import Scorer
-from zerox_ray.stages.split import PageSplitter, chunk_giant_docs
+from zerox_ray.stages.reassemble import DocumentOCR, join_pages
+from zerox_ray.stages.score import Scorer, rows_to_table
+from zerox_ray.stages.split import PageSplitter
 
 
 def _as_dataset(pages) -> ray.data.Dataset:
@@ -83,28 +91,6 @@ def _splitter(cfg: ZeroxConfig) -> PageSplitter:
     return PageSplitter(select_pages=cfg.select_pages, error_mode=cfg.error_mode)
 
 
-def _fragments(
-    pages: ray.data.Dataset | str | list[str],
-    cfg: ZeroxConfig,
-    num_partitions: int | None,
-) -> ray.data.Dataset:
-    """pages → page-fragment rows (classify + split), for the free-order
-    page table and extraction."""
-    # a bad provider name or missing credentials fail here, at plan
-    # build, on every path (full-doc extraction builds its models on
-    # the workers)
-    create_model(cfg.model_provider, **cfg.resolved_model_kwargs())
-    ds = _classified(pages, num_partitions)
-    if cfg.giant_page_threshold is not None:
-        ds = ds.map_batches(
-            chunk_giant_docs,
-            fn_kwargs={"chunk_pages": cfg.giant_page_threshold},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return ds.map_batches(_splitter(cfg), **_stage_kwargs(cfg, cfg.split_batch_size))
-
-
 def _fold_kwargs(cfg: ZeroxConfig) -> dict:
     return {
         "model_provider": cfg.model_provider,
@@ -117,23 +103,41 @@ def _fold_kwargs(cfg: ZeroxConfig) -> dict:
 def _documents(
     pages: ray.data.Dataset | str | list[str],
     cfg: ZeroxConfig,
-    num_partitions: int | None,
-    emit_pages: bool = False,
+    finish: Callable[[list[dict]], pa.Table],
+    num_partitions: int | None = None,
+    scorer=None,
 ) -> ray.data.Dataset:
-    """pages → ``DocumentOCR`` rows: documents, or with ``emit_pages``
-    extracted page rows. The kernel needs url-unique input: the public
-    entry points call ``require_unique_urls`` after building this plan,
+    """pages → ``DocumentOCR``'s ``finish`` rows, each url's fragments
+    scored by ``scorer`` (None: a ``Scorer`` of ``cfg``'s model).
+    ``num_partitions`` sets the ``pid`` column, which only the page table
+    shows. A per-url finish step needs url-unique input: the entry points
+    that use one call ``require_unique_urls`` after building this plan,
     whose read has validated a path's schema by then."""
     ds = _classified(pages, num_partitions)
     kernel = DocumentOCR(
         _splitter(cfg),
-        Scorer(**_fold_kwargs(cfg)),
+        scorer or Scorer(**_fold_kwargs(cfg)),
+        finish,
         chunk_pages=cfg.giant_page_threshold,
         step=cfg.split_batch_size,
         maintain_format=cfg.maintain_format,
-        emit_pages=emit_pages,
     )
     return ds.map_batches(kernel, **_stage_kwargs(cfg, cfg.split_batch_size))
+
+
+def _page_table(
+    pages: ray.data.Dataset | str | list[str],
+    cfg: ZeroxConfig,
+    num_partitions: int | None,
+    scorer,
+) -> ray.data.Dataset:
+    """pages → extracted page rows scored by ``scorer``. maintain_format
+    folds each url's pages in order, so it runs ``run_ocr``'s url check."""
+    finish = partial(rows_to_table, with_logprobs=scorer.with_logprobs)
+    rows = _documents(pages, cfg, finish, num_partitions, scorer)
+    if cfg.maintain_format:
+        require_unique_urls(pages)
+    return rows
 
 
 def extracted_pages(
@@ -148,18 +152,11 @@ def extracted_pages(
     Page order across blocks is NOT meaningful — order is a per-url
     property, restored wherever a url's rows are colocated (O1).
 
-    maintain_format folds each url's pages in order inside
-    ``DocumentOCR`` (one map call per batch of docs, no exchange), after
-    the same url check as ``run_ocr``; the free-order path scores the
-    fragment rows directly."""
+    Each url's pages are scored inside ``DocumentOCR`` (one map call per
+    batch of docs, no exchange); maintain_format folds them in order,
+    after the same url check as ``run_ocr``."""
     cfg = cfg or ZeroxConfig()
-    if cfg.maintain_format:
-        rows = _documents(pages, cfg, num_partitions, emit_pages=True)
-        require_unique_urls(pages)
-        return rows
-    frags = _fragments(pages, cfg, num_partitions)
-    scorer = Scorer(**_fold_kwargs(cfg))
-    return frags.map_batches(scorer, **_stage_kwargs(cfg, cfg.score_batch_size))
+    return _page_table(pages, cfg, num_partitions, Scorer(**_fold_kwargs(cfg)))
 
 
 def logprob_stats(pages_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -209,7 +206,6 @@ def logprob_stats(pages_ds: ray.data.Dataset) -> ray.data.Dataset:
 def run_ocr(
     pages: ray.data.Dataset | str | list[str],
     cfg: ZeroxConfig | None = None,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """pages → documents table (url, markdown, total_pages, ocr_successful,
     ocr_failed, input_tokens, output_tokens); markdown byte-identical per
@@ -219,7 +215,7 @@ def run_ocr(
     joined inside ``DocumentOCR`` (maintain_format: folded), with no
     exchange. A url that appears in more than one input row raises
     ``ValueError`` naming it, before the plan runs."""
-    docs = _documents(pages, cfg or ZeroxConfig(), num_partitions)
+    docs = _documents(pages, cfg or ZeroxConfig(), join_pages)
     require_unique_urls(pages)
     return docs
 
@@ -301,4 +297,4 @@ def run_ocr_incremental(
     # url-unique by construction (one snapshot per url, and a semi-join
     # keeps each row at most once), so run_ocr's url check, which would
     # run the delta and the snapshot collapse again, is skipped
-    return _documents(todo, cfg or ZeroxConfig(), None)
+    return _documents(todo, cfg or ZeroxConfig(), join_pages)

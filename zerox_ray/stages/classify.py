@@ -6,8 +6,8 @@ reference sniffs one file at a time; here the sniff is a zero-copy
 pyarrow.compute expression over the whole Arrow batch.
 
 Adds: ``kind`` ∈ {pdf, html, cfb, unknown} and ``pid`` (stable url-hash
-partition id — the extraction merge's exchange key, computed once here and
-carried on every page row).
+partition id, computed once here and carried on every page row to the
+page table's ``pid`` column; no pipeline exchanges on it).
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """Per-url reassembly: the doc-local OCR kernel and the maintain_format
 ordered fold.
 
-``DocumentOCR`` is the flagship's per-document stage. zerox keeps no
-state across documents (document → page images → per-page OCR →
+``DocumentOCR`` is the per-document stage of every OCR entry point:
+``run_ocr``, the page table and both extraction pipelines. zerox keeps
+no state across documents (document → page images → per-page OCR →
 markdown joined per document, SURVEY §1.1), so each classified doc row
-is split, scored and joined inside the one map call that holds it: the
-OCR plan has no exchange and no barrier before its sink. Distinct urls
-are the precondition (``sources.pages.require_unique_urls`` checks it
-before the plan runs); a url's fragments then arrive contiguous and in
-page order, which is all the join needs.
+is split, scored and finished (joined, emitted as page rows or
+extracted) inside the one map call that holds it: no OCR plan has an
+exchange or a barrier before its sink. Distinct urls are the
+precondition of the per-url finish steps
+(``sources.pages.require_unique_urls`` checks it before the plan runs);
+a url's fragments then arrive contiguous and in page order, which is
+all the join and the extraction merge need.
 
 Byte-identity invariant: a url's markdown is its SUCCESS pages' content
 in page order, so it is identical across block layouts, batch sizes and
@@ -34,18 +37,14 @@ benchmark's single-process replay and the property tests.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import groupby
 from operator import itemgetter
 
 import pandas as pd
 import pyarrow as pa
 
-from zerox_ray.stages.score import (
-    STATUS_SUCCESS,
-    Scorer,
-    completion_to_row,
-    rows_to_table,
-)
+from zerox_ray.stages.score import STATUS_SUCCESS, Scorer, completion_to_row
 from zerox_ray.stages.split import FRAGMENT_SCHEMA, PageSplitter, chunk_giant_docs
 
 PAGE_JOIN = "\n\n"
@@ -225,8 +224,6 @@ def merge_partials_bucket(df: pd.DataFrame) -> pd.DataFrame:
     ]
 
 
-
-
 # --- the doc-local kernel ----------------------------------------------------
 
 #: the documents table (SURVEY §1.2), as ``DocumentOCR`` emits it
@@ -262,9 +259,16 @@ def join_pages(pages: list[dict]) -> pa.Table:
 
 
 class DocumentOCR:
-    """Task map_batches UDF: classified doc rows → one documents row per
-    url, or with ``emit_pages`` its extracted page rows; every url is
-    finished inside the call that holds its row.
+    """Task map_batches UDF: classified doc rows → ``finish`` of their
+    extracted page rows; every url is scored and finished inside the
+    call that holds its row.
+
+    ``finish`` takes the call's page rows, each url's contiguous and in
+    page order, and returns the call's output table: ``join_pages`` (the
+    documents table), ``rows_to_table`` (the page table) or
+    ``extraction.DocumentExtractor`` (one extraction per url).
+    ``scorer`` is a ``Scorer`` or a stand-in with its ``score_rows`` and
+    ``complete`` (extract_only's model-free ``extraction.DirectContent``).
 
     Each row's pages are walked in the page ranges ``chunk_giant_docs``
     makes (``chunk_pages`` None: one range per row), at most ``step``
@@ -280,17 +284,17 @@ class DocumentOCR:
         self,
         splitter: PageSplitter,
         scorer: Scorer,
+        finish: Callable[[list[dict]], pa.Table],
         chunk_pages: int | None,
         step: int,
         maintain_format: bool = False,
-        emit_pages: bool = False,
     ):
         self.splitter = splitter
         self.scorer = scorer
+        self.finish = finish
         self.chunk_pages = chunk_pages
         self.step = step
         self.maintain_format = maintain_format
-        self.emit_pages = emit_pages
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.chunk_pages is not None:
@@ -303,9 +307,7 @@ class DocumentOCR:
             pages = self._fold(steps)
         else:
             pages = [row for frags in steps for row in self.scorer.score_rows(frags)]
-        if self.emit_pages:
-            return rows_to_table(pages, with_logprobs=self.scorer.with_logprobs)
-        return join_pages(pages)
+        return self.finish(pages)
 
     def _fold(self, steps) -> list[dict]:
         """The maintain_format fold over every step's fragments."""
